@@ -19,6 +19,7 @@ witness search exhausts its candidate limit), 1 for any input problem.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -58,7 +59,7 @@ from .solver import (
     SolvedCops,
     SolvedRobber,
     Winner,
-    cop_number,
+    _least_winning,
     profile,
     search_witness,
     solve,
@@ -75,11 +76,22 @@ _VARIANTS = tuple(v.value for v in Variant)
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; 2 is reserved for budget stops here,
-    so flag and recipe mistakes are remapped to exit 1."""
+    so flag and recipe mistakes are remapped to exit 1, reported on one
+    stderr line (--help prints the usage)."""
 
     def error(self, message: str):
-        self.print_usage(sys.stderr)
         self.exit(INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _at_least_one(text: str) -> int:
+    """argparse type for counts that must be positive integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 # -- shared plumbing ------------------------------------------------------------
@@ -103,8 +115,15 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="state budget per solve")
-    p.add_argument("--workers", type=int, default=1, help="worker processes for solves")
+    p.add_argument(
+        "--budget", type=_at_least_one, default=DEFAULT_BUDGET, help="state budget per solve"
+    )
+    p.add_argument(
+        "--workers",
+        type=_at_least_one,
+        default=1,
+        help="accepted for compatibility; solves run serially in one thread",
+    )
 
 
 def _graph_from_args(args: argparse.Namespace) -> tuple[Graph, GeneratedGraph | None]:
@@ -226,11 +245,12 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     g, _ = _graph_from_args(args)
     variant = Variant(args.variant)
+    kw = {"budget": args.budget, "workers": args.workers}
     if args.cops is None:
-        k = cop_number(g, args.ell, variant, budget=args.budget, workers=args.workers)
+        k, out = _least_winning(g, args.ell, variant, **kw)
     else:
         k = args.cops
-    out = solve(g, GameSpec(args.ell, k, variant), budget=args.budget, workers=args.workers)
+        out = solve(g, GameSpec(args.ell, k, variant), **kw)
     results = dict(out.to_public_dict())
     if args.cops is None:
         results["number"] = k
@@ -384,7 +404,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         first = profile(h, (ell,), parts=("capture",), **kw)
         if first.capture_at.get(ell) != 2:
             return None
-        return profile(h, (ell,), parts=("classical", "see", "capture"), **kw)
+        # reuse the screen's capture number; replace() re-runs the chain check
+        rest = profile(h, (ell,), parts=("classical", "see"), **kw)
+        return dataclasses.replace(rest, capture_at=first.capture_at)
 
     def hit(p) -> bool:
         return p.classical == 1 and p.see_at.get(ell) == 1 and p.capture_at.get(ell) == 2

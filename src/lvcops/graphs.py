@@ -58,7 +58,9 @@ class EliminationOrdering:
 class Graph:
     """Finite simple graph with precomputed adjacency masks and distances."""
 
-    __slots__ = ("n", "edges", "adj", "adj_closed", "dist", "_ball_cache", "_hash")
+    __slots__ = (
+        "n", "edges", "adj", "adj_closed", "dist", "_ball_cache", "_grow_tables", "_hash",
+    )
 
     def __init__(self, n: int, edges) -> None:
         if n < 1:
@@ -82,6 +84,7 @@ class Graph:
         self.adj_closed: tuple[VertexSet, ...] = tuple(adj[v] | (1 << v) for v in range(n))
         self.dist: tuple[tuple[int, ...], ...] = tuple(self._bfs(v) for v in range(n))
         self._ball_cache: dict[int, tuple[VertexSet, ...]] = {}
+        self._grow_tables: tuple[list[VertexSet], ...] | None = None
         self._hash: str | None = None
 
     def _bfs(self, src: int) -> tuple[int, ...]:
@@ -110,14 +113,31 @@ class Graph:
         return self.adj[v].bit_count()
 
     def grow(self, mask: VertexSet) -> VertexSet:
-        """Union of closed neighbourhoods over the mask (one robber step)."""
+        """Union of closed neighbourhoods over the mask (one robber step).
+
+        Looks the mask up a byte at a time: entry b of table i is the union
+        over the set bits of b of the closed neighbourhoods of 8i + bit.
+        """
+        tables = self._grow_tables
+        if tables is None:
+            tables = self._grow_tables = self._build_grow_tables()
         out = 0
-        adjc = self.adj_closed
-        while mask:
-            low = mask & -mask
-            out |= adjc[low.bit_length() - 1]
-            mask ^= low
+        for t in tables:
+            if not mask:
+                break
+            out |= t[mask & 255]
+            mask >>= 8
         return out
+
+    def _build_grow_tables(self) -> tuple[list[VertexSet], ...]:
+        adjc = self.adj_closed
+        tables = []
+        for base in range(0, self.n, 8):
+            t = [0] * (1 << min(8, self.n - base))
+            for b in range(1, len(t)):
+                t[b] = t[b & (b - 1)] | adjc[base + (b & -b).bit_length() - 1]
+            tables.append(t)
+        return tuple(tables)
 
     def balls(self, r: int) -> tuple[VertexSet, ...]:
         """Closed balls of radius r around every vertex, cached."""

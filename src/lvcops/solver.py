@@ -10,14 +10,17 @@ counters.
 Layout of a solve:
   1. enumerate every opening placement (sorted multisets) and intern the
      root belief states;
-  2. expand the reachable set breadth-first to closure, interning states
-     in a fixed discovery order.  Worker parallelism only splits a wave
-     into contiguous chunks whose results are merged back in wave order,
-     so the discovery order, the state count, and everything derived from
-     them are identical for any worker count;
-  3. propagate wins wave-synchronously.  A state's wave is the number of
-     cop moves needed against the worst adversary; the recorded action is
-     the first to complete, under a fixed enumeration order;
+  2. expand the reachable set breadth-first to closure, serially, interning
+     states in a fixed discovery order and giving each (state, action) pair
+     with a nonempty successor set one slot in flat arrays: its unmet
+     successor count, its state and its action, plus per-state lists of
+     the slots that wait on that state.  The worker count does not change
+     this, so the discovery order, the state count, and everything derived
+     from them are identical for any worker count;
+  3. propagate wins wave-synchronously over the slots.  A state's wave is
+     the number of cop moves needed against the worst adversary; the
+     recorded action is the first to complete, under a fixed enumeration
+     order;
   4. the cops win the game iff some placement has every root branch won.
 
 The state budget is a hard cap on interned states.  Hitting it aborts with
@@ -29,8 +32,8 @@ budgeted runs are reproducible too.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -238,10 +241,15 @@ class SolveOutcome:
     states counts distinct interned belief states; wave_sizes are the
     expansion frontier sizes; depth is the optimal worst-case number of
     cop moves (the chosen placement attains it; 0 means the placement
-    covers the graph).  policy maps
-    winning state keys to the recorded first-completing action and is set
-    iff the cops win; robber_winning holds every non-won state key and is
-    set iff the evader wins.
+    covers the graph).
+
+    keys, won, wave_of and chosen are the solve's per-state tables, indexed
+    by interning order (empty when INCONCLUSIVE).  The key-level views
+    policy, robber_winning and waves are built from them on first access:
+    policy maps winning state keys to the recorded first-completing action
+    and is set iff the cops win; robber_winning holds every non-won state
+    key and waves the wave of every won one, both set iff the game was
+    decided.
     """
 
     winner: Winner
@@ -249,11 +257,33 @@ class SolveOutcome:
     wave_sizes: tuple[int, ...]
     depth: int | None
     placement: tuple[int, ...] | None
-    policy: Mapping[Key, tuple[int, ...]] | None
-    robber_winning: frozenset | None
-    waves: dict[Key, int] | None
     graph: Graph
     spec: GameSpec
+    keys: list[Key] = field(default_factory=list, repr=False)
+    won: bytearray = field(default_factory=bytearray, repr=False)
+    wave_of: list[int] = field(default_factory=list, repr=False)
+    chosen: list[tuple[int, ...] | None] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def policy(self) -> Mapping[Key, tuple[int, ...]] | None:
+        if self.winner is not Winner.COPS:
+            return None
+        keys, chosen = self.keys, self.chosen
+        return {keys[i]: chosen[i] for i, w in enumerate(self.won) if w}
+
+    @cached_property
+    def robber_winning(self) -> frozenset | None:
+        if self.winner is Winner.INCONCLUSIVE:
+            return None
+        keys = self.keys
+        return frozenset(keys[i] for i, w in enumerate(self.won) if not w)
+
+    @cached_property
+    def waves(self) -> dict[Key, int] | None:
+        if self.winner is Winner.INCONCLUSIVE:
+            return None
+        keys, wave_of = self.keys, self.wave_of
+        return {keys[i]: wave_of[i] for i, w in enumerate(self.won) if w}
 
     def robber_policy(self):
         """Playable adversary policy; only meaningful when the evader wins."""
@@ -272,148 +302,117 @@ class SolveOutcome:
         }
 
 
-class _Budget(Exception):
-    pass
-
-
 def solve(
     g: Graph,
     spec: GameSpec,
     *,
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
-    subsumption: bool = False,
 ) -> SolveOutcome:
     """Decide the game at spec.cops cops; see the module docstring.
 
-    subsumption enables the territory-dominance shortcut: a win at
-    (cops, T) also settles every stored (cops, T' subset of T).  It is a
-    winner-preserving optimization; recorded depths and policy entries for
-    subsumed states borrow the dominating state's action.  Not available
-    under the weakly monotone variant, whose snapshots break dominance.
+    Expansion is serial.  workers is accepted for compatibility and must
+    be at least 1; it changes nothing.  Parallelism, if any, belongs over
+    independent solves, not inside one (an open ROADMAP item).
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     spec = spec.resolve(g)
-    if subsumption and spec.monotone:
-        raise ValueError("subsumption shortcut is unsound with monotone snapshots")
     ctx = _Ctx(g, spec)
 
     index: dict[Key, int] = {}
     keys: list[Key] = []
-
-    def intern(key: Key) -> int:
-        i = index.get(key)
-        if i is None:
-            if len(keys) >= budget:
-                raise _Budget()
-            i = len(keys)
-            index[key] = i
-            keys.append(key)
-        return i
-
-    placements = list(itertools.combinations_with_replacement(range(g.n), spec.cops))
-    placement_roots: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    succ_sets: list[tuple[tuple[int, ...], ...]] = []
-    actions: list[tuple[tuple[int, ...], ...]] = []
+    # preds[j] lists the slots, one per (state, action) pair with a
+    # nonempty successor set, that have j among their successors.  Slots are
+    # made in ascending (state, action) order, so each preds list is too.
+    preds: list[list[int]] = []
+    remaining: list[int] = []  # unmet successors per slot
+    slot_state: list[int] = []
+    slot_action: list[tuple[int, ...]] = []
+    chosen: list[tuple[int, ...] | None] = []  # per expanded state
+    seeds: list[int] = []  # states with an action that wins on the spot
     wave_sizes: list[int] = []
 
     def inconclusive() -> SolveOutcome:
-        return SolveOutcome(
-            Winner.INCONCLUSIVE, budget, tuple(wave_sizes), None, None, None,
-            None, None, g, spec,
-        )
+        return SolveOutcome(Winner.INCONCLUSIVE, budget, tuple(wave_sizes), None, None, g, spec)
 
-    try:
-        for p in placements:
-            placement_roots.append((p, tuple(intern(k) for k in _initial_keys(ctx, p))))
-    except _Budget:
-        return inconclusive()
+    placement_roots: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for p in itertools.combinations_with_replacement(range(g.n), spec.cops):
+        roots = []
+        for k in _initial_keys(ctx, p):
+            i = index.get(k)
+            if i is None:
+                if len(keys) >= budget:
+                    return inconclusive()
+                i = index[k] = len(keys)
+                keys.append(k)
+                preds.append([])
+            roots.append(i)
+        placement_roots.append((p, tuple(roots)))
 
-    frontier = list(range(len(keys)))
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while frontier:
-            wave_sizes.append(len(frontier))
-            batch = [keys[i] for i in frontier]
-            if pool is None:
-                results = [_expand(ctx, k) for k in batch]
-            else:
-                step = (len(batch) + workers - 1) // workers
-                chunks = [batch[i : i + step] for i in range(0, len(batch), step)]
-                parts = pool.map(lambda ch: [_expand(ctx, k) for k in ch], chunks)
-                results = [r for part in parts for r in part]
-            nxt: list[int] = []
-            try:
-                for per_state in results:
-                    acts = []
-                    sets = []
-                    for a, succ_keys in per_state:
-                        row = []
-                        for sk in succ_keys:
-                            j = index.get(sk)
-                            if j is None:
-                                j = intern(sk)
-                                nxt.append(j)
-                            row.append(j)
-                        acts.append(a)
-                        sets.append(tuple(row))
-                    actions.append(tuple(acts))
-                    succ_sets.append(tuple(sets))
-            except _Budget:
-                return inconclusive()
-            frontier = nxt
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    # States are interned in discovery order and expanded in index order:
+    # each wave is the run of indices interned while expanding the last.
+    lo, hi = 0, len(keys)
+    while lo < hi:
+        wave_sizes.append(hi - lo)
+        for i in range(lo, hi):
+            win = None
+            rows = []
+            for a, succ_keys in _expand(ctx, keys[i]):
+                if not succ_keys:
+                    if win is None:
+                        win = a
+                    continue
+                row = []
+                for sk in succ_keys:
+                    j = index.get(sk)
+                    if j is None:
+                        j = len(keys)
+                        if j >= budget:
+                            return inconclusive()
+                        index[sk] = j
+                        keys.append(sk)
+                        preds.append([])
+                    row.append(j)
+                rows.append((a, row))
+            chosen.append(win)
+            if win is not None:
+                # won at wave 1 whatever its other actions do
+                seeds.append(i)
+                continue
+            for a, row in rows:
+                slot = len(remaining)
+                remaining.append(len(row))
+                slot_state.append(i)
+                slot_action.append(a)
+                for j in row:
+                    preds[j].append(slot)
+        lo, hi = hi, len(keys)
 
     n_states = len(keys)
     won = bytearray(n_states)
     wave_of = [0] * n_states
-    chosen: list[tuple[int, ...] | None] = [None] * n_states
-    remaining: list[list[int]] = [[len(s) for s in sets] for sets in succ_sets]
-    preds: dict[int, list[tuple[int, int]]] = {}
-    for i, sets in enumerate(succ_sets):
-        for ai, row in enumerate(sets):
-            for j in row:
-                preds.setdefault(j, []).append((i, ai))
+    for i in seeds:
+        won[i] = 1
+        wave_of[i] = 1
 
-    current: list[int] = []
-    for i, sets in enumerate(succ_sets):
-        for ai, row in enumerate(sets):
-            if not row:
-                won[i] = 1
-                wave_of[i] = 1
-                chosen[i] = actions[i][ai]
-                current.append(i)
-                break
-
-    buckets: dict[tuple, list[int]] = {}
-    if subsumption:
-        for i, key in enumerate(keys):
-            if key[1] != _VIS:
-                buckets.setdefault((key[0], key[1]), []).append(i)
-
+    current = seeds
     wave = 1
     while current:
+        wave += 1
         nxt = []
         for w in current:
-            if subsumption:
-                k = keys[w]
-                if k[1] != _VIS:
-                    for j in buckets[(k[0], k[1])]:
-                        if not won[j] and keys[j][2] & ~k[2] == 0:
-                            won[j] = 1
-                            wave_of[j] = wave
-                            chosen[j] = chosen[w]
-                            current.append(j)
-            for (i, ai) in preds.get(w, ()):
-                remaining[i][ai] -= 1
-                if remaining[i][ai] == 0 and not won[i]:
-                    won[i] = 1
-                    wave_of[i] = wave + 1
-                    chosen[i] = actions[i][ai]
-                    nxt.append(i)
+            for slot in preds[w]:
+                left = remaining[slot] - 1
+                remaining[slot] = left
+                if left == 0:
+                    i = slot_state[slot]
+                    if not won[i]:
+                        won[i] = 1
+                        wave_of[i] = wave
+                        chosen[i] = slot_action[slot]
+                        nxt.append(i)
         current = nxt
-        wave += 1
 
     win_placement = None
     depth = None
@@ -423,18 +422,28 @@ def solve(
             if depth is None or d < depth:
                 win_placement, depth = p, d
 
-    losing = frozenset(keys[i] for i in range(n_states) if not won[i])
-    waves = {keys[i]: wave_of[i] for i in range(n_states) if won[i]}
-    if win_placement is not None:
-        policy = {keys[i]: chosen[i] for i in range(n_states) if won[i]}
-        return SolveOutcome(
-            Winner.COPS, n_states, tuple(wave_sizes), depth, win_placement,
-            policy, losing, waves, g, spec,
-        )
+    winner = Winner.COPS if win_placement is not None else Winner.ROBBER
     return SolveOutcome(
-        Winner.ROBBER, n_states, tuple(wave_sizes), None, None, None,
-        losing, waves, g, spec,
+        winner, n_states, tuple(wave_sizes), depth, win_placement, g, spec,
+        keys, won, wave_of, chosen,
     )
+
+
+def _least_winning(
+    g: Graph, ell: int, variant: Variant, *, budget: int, workers: int = 1
+) -> tuple[int, SolveOutcome]:
+    """The smallest winning cop count with its solve; see cop_number."""
+    for k in range(1, g.n + 1):
+        out = solve(g, GameSpec(ell, k, variant), budget=budget, workers=workers)
+        if out.winner is Winner.COPS:
+            return k, out
+        if out.winner is Winner.INCONCLUSIVE:
+            raise BudgetExceeded(
+                f"{variant.value} game at radius {ell} undecided at {k} cops"
+                f" within {budget} states",
+                partial={"k": k, "states": out.states},
+            )
+    raise AssertionError("unreachable: full occupation wins")
 
 
 def cop_number(
@@ -451,17 +460,7 @@ def cop_number(
     so k = n always wins.  An INCONCLUSIVE solve below the answer poisons
     the iteration and raises BudgetExceeded with the partial findings.
     """
-    for k in range(1, g.n + 1):
-        out = solve(g, GameSpec(ell, k, variant), budget=budget, workers=workers)
-        if out.winner is Winner.COPS:
-            return k
-        if out.winner is Winner.INCONCLUSIVE:
-            raise BudgetExceeded(
-                f"{variant.value} game at radius {ell} undecided at {k} cops"
-                f" within {budget} states",
-                partial={"k": k, "states": out.states},
-            )
-    raise AssertionError("unreachable: full occupation wins")
+    return _least_winning(g, ell, variant, budget=budget, workers=workers)[0]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .engine import (
 )
 from .families import FamilyKind, GeneratedGraph
 from .graphs import Graph, bits, chordal_peo, metrics
-from .solver import SolveOutcome, SolvedCops, Winner, solve
+from .solver import SolveOutcome, SolvedCops, Winner, _least_winning
 from .treerank import rank
 
 
@@ -678,17 +678,10 @@ def shadow_capture(
     if ell < 2:
         raise ValueError("the tracking argument needs visibility radius >= 2")
     if see_outcome is None:
-        see_outcome = _first_cop_win(g, ell, Variant.SEE, budget)
+        see_outcome = _least_winning(g, ell, Variant.SEE, budget=budget)[1]
     if classical_outcome is None:
-        classical_outcome = _first_cop_win(g, 0, Variant.CLASSICAL, budget)
+        classical_outcome = _least_winning(g, 0, Variant.CLASSICAL, budget=budget)[1]
     if see_outcome.winner is not Winner.COPS or classical_outcome.winner is not Winner.COPS:
         raise ValueError("both component policies must be cop wins")
     return _ShadowCapture(g, ell, see_outcome, classical_outcome)
 
-
-def _first_cop_win(g: Graph, ell: int, variant: Variant, budget: int) -> SolveOutcome:
-    for k in range(1, g.n + 1):
-        out = solve(g, GameSpec(ell, k, variant), budget=budget)
-        if out.winner is Winner.COPS:
-            return out
-    raise AssertionError("some cop count always wins")

@@ -212,7 +212,57 @@ def test_witness_single_candidate_hit(capsys):
     assert env["results"]["profile"]["capture_at"] == {"1": 2}
 
 
+def _count_solves(monkeypatch) -> list[tuple]:
+    """Record (variant, ell, cops) of every solve the solver module runs."""
+    from lvcops import solver
+
+    specs = []
+    real = solver.solve
+
+    def counting(g, spec, **kw):
+        specs.append((spec.variant.value, spec.ell, spec.cops))
+        return real(g, spec, **kw)
+
+    monkeypatch.setattr(solver, "solve", counting)
+    return specs
+
+
+def test_witness_hit_solves_capture_number_once(capsys, monkeypatch):
+    specs = _count_solves(monkeypatch)
+    path = Path(__file__).parent / "data" / "gap_witness.txt"
+    code, env = run_json(capsys, ["witness", "--graph", str(path), "--ell", "1"])
+    assert code == 0 and env["results"]["found"] is True
+    assert [s for s in specs if s[0] == "capture"] == [("capture", 1, 1), ("capture", 1, 2)]
+    assert len(specs) == len(set(specs))
+
+
+def test_solve_number_solves_final_count_once(capsys, monkeypatch):
+    specs = _count_solves(monkeypatch)
+    code, env = run_json(capsys, ["solve", "--recipe", "cycle:4", "--ell", "1"])
+    assert code == 0 and env["results"]["number"] == 2
+    assert env["results"]["winner"] == "cops" and env["results"]["placement"]
+    assert specs == [("capture", 1, 1), ("capture", 1, 2)]
+
+
 # -- exit codes ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--recipe", "cycle:4", "--ell", "1", "--workers", "0"],
+        ["solve", "--recipe", "cycle:4", "--ell", "1", "--budget", "0"],
+        ["profile", "--recipe", "cycle:4", "--budget", "-3"],
+        ["witness", "--ell", "1", "--limit", "1", "--workers", "two"],
+    ],
+)
+def test_bad_solver_flag_value_exits_one(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert ("--workers" in err or "--budget" in err) and "Traceback" not in err
+
 
 
 def test_unknown_recipe_exits_one(capsys):

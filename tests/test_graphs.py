@@ -91,6 +91,22 @@ def test_grow_cycle():
     assert g.grow(g.full) == g.full
 
 
+def test_grow_matches_naive_union():
+    # the byte tables against the plain union of closed neighbourhoods,
+    # across partial and full last chunks
+    rng = random.Random(23)
+    for n in (1, 7, 8, 9, 57, 70):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        g = Graph(n, rng.sample(pairs, min(len(pairs), 2 * n)))
+        masks = [0, g.full] + [rng.getrandbits(n) for _ in range(200)]
+        masks += [1 << rng.randrange(n) for _ in range(20)]
+        for m in masks:
+            want = 0
+            for v in bits(m):
+                want |= g.adj_closed[v]
+            assert g.grow(m) == want, (n, m)
+
+
 def test_bits_and_mask_roundtrip():
     rng = random.Random(11)
     for _ in range(50):

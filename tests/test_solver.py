@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -20,6 +21,7 @@ from lvcops.engine import (
     play_match,
     robber_turn,
 )
+from lvcops.families import generate, parse_recipe
 from lvcops.graphs import Graph, bits, mask_of
 from lvcops.solver import (
     BudgetExceeded,
@@ -168,6 +170,37 @@ def test_worker_count_invariance():
         assert other.policy == base.policy
 
 
+@pytest.mark.parametrize(
+    "recipe, spec, budget, expected, policy_digest",
+    [
+        (
+            "subdivided:2,1", GameSpec(1, 2, Variant.MONOTONE_CAPTURE), 1_000_000,
+            (Winner.COPS, 2137, (366, 678, 883, 120, 42, 42, 6), 5), "60abd475cd297216",
+        ),
+        (
+            "randomtree:n=12,seed=4", GameSpec(1, 2), 1_000_000,
+            (Winner.COPS, 1180, (307, 415, 289, 105, 56, 2, 6), 5), "e6a0422db0ccf122",
+        ),
+        (
+            "cycle:9", GameSpec(1, 2), 460,
+            (Winner.INCONCLUSIVE, 460, (180, 180, 90), None), None,
+        ),
+    ],
+)
+def test_pinned_solves(recipe, spec, budget, expected, policy_digest):
+    # values recorded from the solver before its core was rewritten; state
+    # counts, wave sizes, budget stops and the first-completing actions
+    # must not move under a speed-up
+    g = generate(parse_recipe(recipe)).graph
+    out = solve(g, spec, budget=budget)
+    assert (out.winner, out.states, out.wave_sizes, out.depth) == expected
+    if policy_digest is None:
+        assert out.policy is None
+    else:
+        blob = repr(sorted(out.policy.items())).encode()
+        assert hashlib.sha256(blob).hexdigest()[:16] == policy_digest
+
+
 def test_successors_match_engine_round():
     rng = random.Random(31)
     for trial in range(50):
@@ -286,22 +319,6 @@ def test_monotone_dominates_capture():
         mc = cop_number(g, ell, Variant.MONOTONE_CAPTURE)
         c = cop_number(g, ell)
         assert mc >= c
-
-
-def test_subsumption_regression():
-    rng = random.Random(71)
-    for _ in range(25):
-        g = random_connected(rng.randrange(3, 8), rng.randrange(0, 4), rng)
-        ell = rng.randrange(0, 3)
-        k = rng.randrange(1, 3)
-        variant = rng.choice([Variant.CAPTURE, Variant.SEE, Variant.TIME_DELAYED])
-        spec = GameSpec(ell, k, variant)
-        plain = solve(g, spec)
-        pruned = solve(g, spec, subsumption=True)
-        assert plain.winner is pruned.winner
-        assert plain.states == pruned.states  # expansion untouched
-    with pytest.raises(ValueError):
-        solve(path(3), GameSpec(1, 1, Variant.MONOTONE_CAPTURE), subsumption=True)
 
 
 def test_profile_c6():
