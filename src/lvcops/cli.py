@@ -507,7 +507,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--variant", choices=_VARIANTS, default=Variant.CAPTURE.value)
     p.add_argument("--robber", choices=("random", "solved"), default="random")
     p.add_argument("--seed", type=int, default=0, help="random robber seed")
-    p.add_argument("--rounds", type=int, default=200, help="round cap for the match")
+    p.add_argument("--rounds", type=_at_least_one, default=200, help="round cap for the match")
     _add_solver(p)
     _add_output(p)
     p.set_defaults(fn=_cmd_simulate)
@@ -518,7 +518,7 @@ def _build_parser() -> _Parser:
     _add_input(p, required=False)
     p.add_argument("--ell", type=int, default=1, help="visibility radius")
     p.add_argument("--max-n", type=int, default=8, help="largest candidate order")
-    p.add_argument("--limit", type=int, default=100_000, help="candidate budget")
+    p.add_argument("--limit", type=_at_least_one, default=100_000, help="candidate budget")
     p.add_argument("--seed", type=int, default=0, help="candidate stream seed")
     _add_solver(p)
     _add_output(p)

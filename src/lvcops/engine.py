@@ -19,15 +19,24 @@ Conventions baked into the transition relation:
     baseline at the next cop move.
 
 The time-delayed variant replaces live observations with end-of-round
-disclosure of the evader's previous vertex; its knowledge set is kept in a
-separate phase so the two information models cannot be mixed up.
+disclosure of the evader's previous vertex; its knowledge set carries its
+own tag so the two information models cannot be mixed up.
+
+The rules live in one place, the transition kernel below: _initial_keys
+(the evader's replies to an opening placement) and _expand (one full round
+per cop action) over plain (cops, tag, payload, snapshot) tuples.  The
+solver searches over the kernel; initial_branches, cop_turn, robber_turn
+and round_branches are thin views of it for the referee and the policies.
+A view returns the ongoing states only: a branch the cops win is dropped,
+so an empty tuple means the cops won on every branch.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Protocol
+from typing import Iterable, NamedTuple, Protocol
 
 from .graphs import Graph, VertexSet, bits, mask_of
 
@@ -91,108 +100,29 @@ class GameSpec:
 # snapshot sentinel: no baseline constraint on the next cop move
 SNAP_FREE = -1
 
+# state tags: the payload is an unseen territory (INV), the sighted
+# evader's vertex (VIS), or the time-delayed knowledge set (DEL)
+INV, VIS, DEL = 0, 1, 2
 
-class Invisible:
-    __slots__ = ("territory",)
-
-    def __init__(self, territory: VertexSet) -> None:
-        self.territory = territory
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Invisible) and other.territory == self.territory
-
-    def __hash__(self) -> int:
-        return hash(("I", self.territory))
-
-    def __repr__(self) -> str:
-        return f"Invisible({sorted(bits(self.territory))})"
+# (cops, tag, payload, snapshot); BeliefState is the named view
+Key = tuple
 
 
-class Visible:
-    __slots__ = ("robber",)
-
-    def __init__(self, robber: int) -> None:
-        self.robber = robber
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Visible) and other.robber == self.robber
-
-    def __hash__(self) -> int:
-        return hash(("V", self.robber))
-
-    def __repr__(self) -> str:
-        return f"Visible({self.robber})"
-
-
-class Delayed:
-    __slots__ = ("belief",)
-
-    def __init__(self, belief: VertexSet) -> None:
-        self.belief = belief
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Delayed) and other.belief == self.belief
-
-    def __hash__(self) -> int:
-        return hash(("D", self.belief))
-
-    def __repr__(self) -> str:
-        return f"Delayed({sorted(bits(self.belief))})"
-
-
-Phase = Invisible | Visible | Delayed
-
-
-@dataclass(frozen=True)
-class BeliefState:
+class BeliefState(NamedTuple):
     """Canonical game position from the cops' point of view.
 
     cops is sorted (cops are interchangeable and may share a vertex).  An
-    Invisible territory is already reduced by every past observation, so it
-    is disjoint from the cops' visibility balls.  snapshot carries the
+    INV territory is already reduced by every past observation, so it is
+    disjoint from the cops' visibility balls.  snapshot carries the
     weakly-monotone baseline (the unseen territory recorded after the last
     cop half-move); SNAP_FREE means the next cop move sets a new baseline.
+    A BeliefState compares and hashes equal to the kernel's plain key tuple.
     """
 
     cops: tuple[int, ...]
-    phase: Phase
+    tag: int
+    payload: int
     snapshot: int = SNAP_FREE
-
-    def key(self) -> tuple:
-        p = self.phase
-        if isinstance(p, Invisible):
-            tag, payload = 0, p.territory
-        elif isinstance(p, Visible):
-            tag, payload = 1, p.robber
-        else:
-            tag, payload = 2, p.belief
-        return (self.cops, tag, payload, self.snapshot)
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One adversary-consistent continuation: either a terminal cop win or
-    a successor state."""
-
-    state: BeliefState | None
-    won: bool
-    why: str = ""
-
-
-@dataclass(frozen=True)
-class BranchSet:
-    branches: tuple[Branch, ...]
-
-    @property
-    def vacuous_win(self) -> bool:
-        return not self.branches
-
-    @property
-    def all_won(self) -> bool:
-        return all(b.won for b in self.branches)
-
-    def ongoing(self) -> list[BeliefState]:
-        return [b.state for b in self.branches if not b.won]
 
 
 class IllegalMove(ValueError):
@@ -210,170 +140,245 @@ def _ball_union(balls, cops: Iterable[int]) -> VertexSet:
     return m
 
 
-def _check_cop_step(g: Graph, old: tuple[int, ...], new: tuple[int, ...]) -> None:
-    """new must be a per-cop rearrangement of old with each cop passing or
-    crossing one edge.  Both tuples are sorted; match greedily over
-    permutations via bipartite check."""
+def _match_step(g: Graph, old, new) -> list[int]:
+    """Per-cop destinations: out[i] is where the cop on old[i] goes, each
+    cop passing or crossing one edge, and out is new as a multiset.  Raises
+    IllegalMove when no such matching exists."""
     if len(old) != len(new):
-        raise IllegalMove("cop count changed")
-    # backtracking match; cop counts are tiny
-    used = [False] * len(old)
+        raise IllegalMove(f"cop count changed from {len(old)} to {len(new)}")
 
-    def assign(i: int) -> bool:
-        if i == len(new):
-            return True
-        for j, o in enumerate(old):
-            if not used[j] and (g.adj_closed[o] >> new[i]) & 1:
-                used[j] = True
-                if assign(i + 1):
-                    return True
-                used[j] = False
-        return False
+    def match(i: int, left: list[int]) -> list[int] | None:
+        # backtracking; cop counts are tiny
+        if i == len(old):
+            return []
+        reach = g.adj_closed[old[i]]
+        for j, v in enumerate(left):
+            if (reach >> v) & 1:
+                rest = match(i + 1, left[:j] + left[j + 1 :])
+                if rest is not None:
+                    return [v] + rest
+        return None
 
-    if not assign(0):
-        raise IllegalMove(f"no legal per-cop matching from {old} to {new}")
+    out = match(0, list(new))
+    if out is None:
+        raise IllegalMove(f"no legal per-cop matching from {tuple(old)} to {tuple(new)}")
+    return out
 
 
-def initial_branches(g: Graph, spec: GameSpec, placement: Iterable[int]) -> BranchSet:
+# -- transition kernel -----------------------------------------------------------
+# Kernel helpers stay private: a profiler that wraps every public function
+# (perfbench/tracer.py) would put a span on each of their per-state calls.
+
+
+class _Ctx:
+    """Per-solve caches: legal move tuples and visibility masks per cop tuple."""
+
+    __slots__ = ("g", "see", "mono", "delayed", "adjc", "_moves", "_balls")
+
+    def __init__(self, g: Graph, spec: GameSpec) -> None:
+        self.g = g
+        self.see = spec.see_goal
+        self.mono = spec.monotone
+        self.delayed = spec.delayed
+        self.adjc = g.adj_closed
+        self._moves: dict[tuple, tuple] = {}
+        self._balls = g.balls(spec.ell)
+
+    def moves(self, cops: tuple[int, ...]):
+        """All distinct sorted cop tuples one half-move away, with their
+        occupancy and visibility masks, in a fixed enumeration order."""
+        hit = self._moves.get(cops)
+        if hit is not None:
+            return hit
+        per_cop = [sorted(bits(self.adjc[c])) for c in cops]
+        out = []
+        seen = set()
+        balls = self._balls
+        for combo in itertools.product(*per_cop):
+            a = tuple(sorted(combo))
+            if a in seen:
+                continue
+            seen.add(a)
+            am = mask_of(a)
+            bm = 0
+            for c in a:
+                bm |= balls[c]
+            out.append((a, am, bm))
+        out = tuple(out)
+        self._moves[cops] = out
+        return out
+
+    def masks(self, cops: tuple[int, ...]) -> tuple[int, int]:
+        """Occupancy and visibility masks of one cop tuple."""
+        return mask_of(cops), _ball_union(self._balls, cops)
+
+
+def _initial_keys(ctx: _Ctx, cops: tuple[int, ...], cand: VertexSet) -> tuple[Key, ...]:
+    """The observation with the cops on cops and the evader somewhere in
+    cand: the opening split when cand is every vertex, the cop half-move's
+    split of a territory or knowledge set otherwise.  An empty tuple means
+    the cops win on every branch."""
+    am, bm = ctx.masks(cops)
+    free = cand & ~am
+    if free == 0:
+        return ()
+    if ctx.delayed:
+        return ((cops, DEL, free, SNAP_FREE),)
+    out = []
+    if not ctx.see:
+        for v in bits(free & bm):
+            out.append((cops, VIS, v, SNAP_FREE))
+    unseen = free & ~bm
+    if unseen:
+        snap = unseen if ctx.mono else SNAP_FREE
+        out.append((cops, INV, unseen, snap))
+    return tuple(out)
+
+
+def _expand(ctx: _Ctx, key: Key, moves) -> list[tuple[tuple[int, ...], tuple[Key, ...]]]:
+    """One full round from a cop-to-move state, per action in moves
+    ((action, occupancy mask, visibility mask) triples, as ctx.moves
+    gives them).
+
+    Returns (action, successor keys) per legal action, deduplicated by
+    successor set, first-encountered action kept.  An empty successor
+    tuple means the action wins on the spot (every branch terminal).
+    Monotonicity-violating actions are omitted entirely.
+    """
+    cops, tag, payload, snap = key
+    g = ctx.g
+    adjc = ctx.adjc
+    out: list[tuple[tuple[int, ...], tuple[Key, ...]]] = []
+    seen_sets: set[tuple[Key, ...]] = set()
+
+    if tag == DEL:
+        B = payload
+        for a, am, _bm in moves:
+            surv = B & ~am
+            if surv == 0:
+                succs: tuple[Key, ...] = ()
+            else:
+                ss = {(a, DEL, adjc[v] & ~am, SNAP_FREE) for v in bits(surv)}
+                succs = tuple(sorted(ss))
+            if succs not in seen_sets:
+                seen_sets.add(succs)
+                out.append((a, succs))
+        return out
+
+    if tag == VIS:
+        r = payload
+        for a, am, bm in moves:
+            if (am >> r) & 1:
+                succs = ()
+            else:
+                choices = adjc[r] & ~am
+                ss = set()
+                if not ctx.see:
+                    for w in bits(choices & bm):
+                        ss.add((a, VIS, w, SNAP_FREE))
+                esc = choices & ~bm
+                if esc:
+                    ss.add((a, INV, esc, SNAP_FREE))
+                succs = tuple(sorted(ss))
+            if succs not in seen_sets:
+                seen_sets.add(succs)
+                out.append((a, succs))
+        return out
+
+    T = payload
+    for a, am, bm in moves:
+        rest = T & ~am
+        unseen = rest & ~bm
+        if ctx.mono and snap != SNAP_FREE and unseen & ~snap:
+            continue
+        nsnap = unseen if ctx.mono else SNAP_FREE
+        ss = set()
+        if not ctx.see:
+            for v in bits(rest & bm):
+                ch = adjc[v] & ~am
+                for w in bits(ch & bm):
+                    ss.add((a, VIS, w, SNAP_FREE))
+                esc = ch & ~bm
+                if esc:
+                    ss.add((a, INV, esc, SNAP_FREE))
+        if unseen:
+            grown = g.grow(unseen) & ~am
+            if not ctx.see:
+                for w in bits(grown & bm):
+                    ss.add((a, VIS, w, SNAP_FREE))
+            u2 = grown & ~bm
+            if u2:
+                ss.add((a, INV, u2, nsnap))
+        succs = tuple(sorted(ss))
+        if succs not in seen_sets:
+            seen_sets.add(succs)
+            out.append((a, succs))
+    return out
+
+
+# -- turns: views over the kernel ------------------------------------------------
+
+
+def _states(keys: Iterable[Key]) -> tuple[BeliefState, ...]:
+    return tuple(BeliefState(*k) for k in keys)
+
+
+def _round(ctx: _Ctx, state: BeliefState, cops: tuple[int, ...]) -> tuple[BeliefState, ...]:
+    """The kernel's round on the one action cops; raises when it drops it."""
+    rows = _expand(ctx, state, ((cops, *ctx.masks(cops)),))
+    if not rows:
+        raise MonotonicityViolation(f"moving to {cops} lets the unseen territory grow")
+    return _states(rows[0][1])
+
+
+def initial_branches(
+    g: Graph, spec: GameSpec, placement: Iterable[int]
+) -> tuple[BeliefState, ...]:
     """Adversary replies to the cops' opening placement.
 
-    The evader picks any vertex off the cops.  Seen picks become Visible
-    branches (terminal under a seeing goal); unseen picks collapse into one
-    territory branch.  The time-delayed game starts from total ignorance.
+    The evader picks any vertex off the cops.  Each seen pick is its own
+    VIS state (terminal, so absent, under a seeing goal); unseen picks
+    collapse into one territory state.  The time-delayed game starts from
+    total ignorance.
     """
     spec = spec.resolve(g)
     cops = tuple(sorted(placement))
     if len(cops) != spec.cops:
         raise IllegalMove(f"expected {spec.cops} cops, got {len(cops)}")
-    copmask = mask_of(cops)
-    free = g.full & ~copmask
-    if free == 0:
-        return BranchSet(())
-    if spec.delayed:
-        return BranchSet((Branch(BeliefState(cops, Delayed(free)), False),))
-    ball = _ball_union(g.balls(spec.ell), cops)
-    seen = free & ball
-    unseen = free & ~ball
-    out: list[Branch] = []
-    for v in bits(seen):
-        if spec.see_goal:
-            out.append(Branch(None, True, "seen"))
-        else:
-            out.append(Branch(BeliefState(cops, Visible(v)), False))
-    if unseen:
-        snap = unseen if spec.monotone else SNAP_FREE
-        out.append(Branch(BeliefState(cops, Invisible(unseen), snap), False))
-    return BranchSet(tuple(out))
+    return _states(_initial_keys(_Ctx(g, spec), cops, g.full))
 
 
-def cop_turn(g: Graph, spec: GameSpec, state: BeliefState, new_cops: Iterable[int]) -> BranchSet:
+def cop_turn(
+    g: Graph, spec: GameSpec, state: BeliefState, new_cops: Iterable[int]
+) -> tuple[BeliefState, ...]:
     """Half-round: cops move, then the observation.  Returned states are
-    mid-round (evader still to move); pass them to robber_turn."""
-    spec = spec.resolve(g)
+    mid-round (evader still to move); pass them to robber_turn.  Raises
+    MonotonicityViolation exactly when the kernel drops the move."""
+    ctx = _Ctx(g, spec.resolve(g))
     cops = tuple(sorted(new_cops))
-    _check_cop_step(g, state.cops, cops)
-    copmask = mask_of(cops)
-    p = state.phase
-
-    if isinstance(p, Visible):
-        if (copmask >> p.robber) & 1:
-            return BranchSet((Branch(None, True, "captured"),))
-        return BranchSet((Branch(BeliefState(cops, Visible(p.robber)), False),))
-
-    if isinstance(p, Delayed):
-        survivors = p.belief & ~copmask
-        out: list[Branch] = []
-        if p.belief & copmask:
-            out.append(Branch(None, True, "captured"))
-        if survivors:
-            out.append(Branch(BeliefState(cops, Delayed(survivors)), False))
-        return BranchSet(tuple(out))
-
-    ball = _ball_union(g.balls(spec.ell), cops)
-    captured = p.territory & copmask
-    rest = p.territory & ~copmask
-    seen = rest & ball
-    unseen = rest & ~ball
-    if spec.monotone and state.snapshot != SNAP_FREE and unseen & ~state.snapshot:
-        raise MonotonicityViolation(
-            f"unseen territory would gain {sorted(bits(unseen & ~state.snapshot))}"
-        )
-    out = []
-    if captured:
-        out.append(Branch(None, True, "captured"))
-    for v in bits(seen):
-        if spec.see_goal:
-            out.append(Branch(None, True, "seen"))
-        else:
-            out.append(Branch(BeliefState(cops, Visible(v)), False))
-    if unseen:
-        snap = unseen if spec.monotone else SNAP_FREE
-        out.append(Branch(BeliefState(cops, Invisible(unseen), snap), False))
-    return BranchSet(tuple(out))
+    _match_step(g, state.cops, cops)
+    if ctx.mono:  # the kernel drops moves under the monotone rule only
+        _round(ctx, state, cops)
+    if state.tag == VIS:
+        # a sighted evader has not moved since it was pinpointed
+        r = state.payload
+        return () if (mask_of(cops) >> r) & 1 else (BeliefState(cops, VIS, r),)
+    return _states(_initial_keys(ctx, cops, state.payload))
 
 
-def robber_turn(g: Graph, spec: GameSpec, state: BeliefState) -> BranchSet:
+def robber_turn(g: Graph, spec: GameSpec, state: BeliefState) -> tuple[BeliefState, ...]:
     """Half-round: evader moves from a post-cop-move state, then the second
-    observation."""
-    spec = spec.resolve(g)
-    cops = state.cops
-    copmask = mask_of(cops)
-    p = state.phase
-
-    if isinstance(p, Delayed):
-        out = []
-        seen_beliefs = set()
-        for v in bits(p.belief):
-            nxt = g.adj_closed[v] & ~copmask
-            if nxt not in seen_beliefs:
-                seen_beliefs.add(nxt)
-                out.append(Branch(BeliefState(cops, Delayed(nxt)), False))
-        return BranchSet(tuple(out))
-
-    ball = _ball_union(g.balls(spec.ell), cops)
-
-    if isinstance(p, Visible):
-        choices = g.adj_closed[p.robber] & ~copmask
-        if choices == 0:
-            return BranchSet((Branch(None, True, "cornered"),))
-        out = []
-        for v in bits(choices & ball):
-            if spec.see_goal:
-                out.append(Branch(None, True, "seen"))
-            else:
-                out.append(Branch(BeliefState(cops, Visible(v)), False))
-        escape = choices & ~ball
-        if escape:
-            out.append(Branch(BeliefState(cops, Invisible(escape)), False))
-        return BranchSet(tuple(out))
-
-    grown = g.grow(p.territory) & ~copmask
-    if grown == 0:
-        return BranchSet((Branch(None, True, "cornered"),))
-    out = []
-    for v in bits(grown & ball):
-        if spec.see_goal:
-            out.append(Branch(None, True, "seen"))
-        else:
-            out.append(Branch(BeliefState(cops, Visible(v)), False))
-    unseen = grown & ~ball
-    if unseen:
-        out.append(Branch(BeliefState(cops, Invisible(unseen), state.snapshot), False))
-    return BranchSet(tuple(out))
+    observation.  This is the kernel's round with the cops passing."""
+    return _round(_Ctx(g, spec.resolve(g)), state, state.cops)
 
 
 def round_branches(
     g: Graph, spec: GameSpec, state: BeliefState, new_cops: Iterable[int]
-) -> BranchSet:
+) -> tuple[BeliefState, ...]:
     """Full round: cop half-move composed with every evader reply."""
-    mid = cop_turn(g, spec, state, new_cops)
-    out: list[Branch] = []
-    for b in mid.branches:
-        if b.won:
-            out.append(b)
-        else:
-            out.extend(robber_turn(g, spec, b.state).branches)
-    return BranchSet(tuple(out))
+    cops = tuple(sorted(new_cops))
+    _match_step(g, state.cops, cops)
+    return _round(_Ctx(g, spec.resolve(g)), state, cops)
 
 
 # -- scripted sweeps ----------------------------------------------------------------
@@ -608,8 +613,7 @@ def play_match(
     """
     spec = spec.resolve(g)
     cops = tuple(sorted(cop_policy.place(g, spec)))
-    if len(cops) != spec.cops:
-        raise IllegalMove("cop placement has wrong size")
+    opening = initial_branches(g, spec, cops)
     robber = robber_policy.place(g, spec, cops)
     trace = Trace(Outcome.TIMEOUT, 0)
     if robber is None:
@@ -617,19 +621,10 @@ def play_match(
         return trace
     if (mask_of(cops) >> robber) & 1:
         raise IllegalMove("evader placed on a cop")
-
-    copmask = mask_of(cops)
-    if spec.delayed:
-        state = BeliefState(cops, Delayed(g.full & ~copmask))
-    elif _observe(spec, g, cops, robber):
-        if spec.see_goal:
-            trace.outcome = Outcome.SEEN
-            return trace
-        state = BeliefState(cops, Visible(robber))
-    else:
-        ball = _ball_union(g.balls(spec.ell), cops)
-        t0 = g.full & ~copmask & ~ball
-        state = BeliefState(cops, Invisible(t0), t0 if spec.monotone else SNAP_FREE)
+    if spec.see_goal and _observe(spec, g, cops, robber):
+        trace.outcome = Outcome.SEEN
+        return trace
+    state = _realize(g, opening, robber)
 
     for rnd in range(1, max_rounds + 1):
         trace.rounds = rnd
@@ -645,7 +640,7 @@ def play_match(
         if seen_now and spec.see_goal:
             trace.outcome = Outcome.SEEN
             return trace
-        state = _realize(g, spec, mid, robber)
+        state = _realize(g, mid, robber)
 
         nxt = robber_policy.move(g, spec, state, robber)
         if nxt not in list(bits(g.adj_closed[robber] & ~mask_of(new_cops))):
@@ -659,36 +654,33 @@ def play_match(
             trace.outcome = Outcome.SEEN
             return trace
         after = robber_turn(g, spec, state)
-        state = _realize(g, spec, after, robber, delayed_prev=prev)
+        state = _realize(g, after, robber, delayed_prev=prev)
     return trace
 
 
 def _realize(
     g: Graph,
-    spec: GameSpec,
-    branches: BranchSet,
+    states: tuple[BeliefState, ...],
     robber: int,
     delayed_prev: int | None = None,
 ) -> BeliefState:
-    """Pick the branch consistent with the evader's true position.
+    """Pick the ongoing state consistent with the evader's true position.
 
-    Matching is structural: a Visible branch persists through the cops'
+    Matching is structural: a VIS state persists through the cops'
     half-move even when their balls no longer cover the evader, because the
-    evader has not moved since it was pinpointed.
+    evader has not moved since it was pinpointed.  A DEL state is matched
+    by the disclosed pre-move vertex; before any disclosure it is the only
+    state.
     """
-    for b in branches.branches:
-        if b.won:
-            continue
-        p = b.state.phase
-        if spec.delayed:
-            if delayed_prev is None:
-                return b.state  # cop half keeps a single belief branch
-            if isinstance(p, Delayed) and p.belief == g.adj_closed[delayed_prev] & ~mask_of(b.state.cops):
-                return b.state
-        elif isinstance(p, Visible) and p.robber == robber:
-            return b.state
-        elif isinstance(p, Invisible) and (p.territory >> robber) & 1:
-            return b.state
+    for s in states:
+        if s.tag == DEL:
+            if delayed_prev is None or s.payload == g.adj_closed[delayed_prev] & ~mask_of(s.cops):
+                return s
+        elif s.tag == VIS:
+            if s.payload == robber:
+                return s
+        elif (s.payload >> robber) & 1:
+            return s
     raise AssertionError("no branch consistent with the evader's position")
 
 

@@ -7,11 +7,16 @@ least fixpoint: seed the states with an action whose branches are all
 terminal, then propagate backwards with per-(state, action) unmet-branch
 counters.
 
+The rules are not restated here: the belief states, the opening split
+(_initial_keys) and the one-round expansion (_expand) are the transition
+kernel in engine; this module is the search over it.
+
 Layout of a solve:
   1. enumerate every opening placement (sorted multisets) and intern the
-     root belief states;
-  2. expand the reachable set breadth-first to closure, serially, interning
-     states in a fixed discovery order and giving each (state, action) pair
+     root belief states the kernel's opening split gives;
+  2. expand the reachable set breadth-first to closure with the kernel
+     (one round per legal cop action), serially, interning states in a
+     fixed discovery order and giving each (state, action) pair
      with a nonempty successor set one slot in flat arrays: its unmet
      successor count, its state and its action, plus per-state lists of
      the slots that wait on that state.  The worker count does not change
@@ -38,23 +43,21 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .engine import (
-    SNAP_FREE,
+    DEL,
+    VIS,
     BeliefState,
-    Delayed,
     GameSpec,
-    Invisible,
+    Key,
     Variant,
-    Visible,
+    _Ctx,
+    _expand,
+    _initial_keys,
+    initial_branches,
     robber_turn,
 )
 from .graphs import Graph, bits, mask_of
 
 DEFAULT_BUDGET = 1_000_000
-
-_INV, _VIS, _DEL = 0, 1, 2
-
-# (cops, tag, payload, snapshot)
-Key = tuple
 
 
 class Winner(Enum):
@@ -73,165 +76,6 @@ class BudgetExceeded(RuntimeError):
 
 class ChainViolation(ValueError):
     """A Profile failed one of its internal inequalities."""
-
-
-class _Ctx:
-    """Per-solve caches: legal move tuples and visibility masks per cop tuple."""
-
-    __slots__ = ("g", "spec", "see", "mono", "delayed", "adjc", "_moves", "_balls")
-
-    def __init__(self, g: Graph, spec: GameSpec) -> None:
-        self.g = g
-        self.spec = spec
-        self.see = spec.see_goal
-        self.mono = spec.monotone
-        self.delayed = spec.delayed
-        self.adjc = g.adj_closed
-        self._moves: dict[tuple, tuple] = {}
-        self._balls = g.balls(spec.ell)
-
-    def moves(self, cops: tuple[int, ...]):
-        """All distinct sorted cop tuples one half-move away, with their
-        occupancy and visibility masks, in a fixed enumeration order."""
-        hit = self._moves.get(cops)
-        if hit is not None:
-            return hit
-        per_cop = [sorted(bits(self.adjc[c])) for c in cops]
-        out = []
-        seen = set()
-        balls = self._balls
-        for combo in itertools.product(*per_cop):
-            a = tuple(sorted(combo))
-            if a in seen:
-                continue
-            seen.add(a)
-            am = mask_of(a)
-            bm = 0
-            for c in a:
-                bm |= balls[c]
-            out.append((a, am, bm))
-        out = tuple(out)
-        self._moves[cops] = out
-        return out
-
-    def placement_masks(self, cops: tuple[int, ...]) -> tuple[int, int]:
-        am = mask_of(cops)
-        bm = 0
-        for c in cops:
-            bm |= self._balls[c]
-        return am, bm
-
-
-def _initial_keys(ctx: _Ctx, placement: tuple[int, ...]) -> tuple[Key, ...]:
-    """Root states for one opening placement; empty tuple means the
-    placement wins outright."""
-    g = ctx.g
-    am, bm = ctx.placement_masks(placement)
-    free = g.full & ~am
-    if free == 0:
-        return ()
-    if ctx.delayed:
-        return ((placement, _DEL, free, SNAP_FREE),)
-    out = []
-    if not ctx.see:
-        for v in bits(free & bm):
-            out.append((placement, _VIS, v, SNAP_FREE))
-    unseen = free & ~bm
-    if unseen:
-        snap = unseen if ctx.mono else SNAP_FREE
-        out.append((placement, _INV, unseen, snap))
-    return tuple(out)
-
-
-def _expand(ctx: _Ctx, key: Key) -> list[tuple[tuple[int, ...], tuple[Key, ...]]]:
-    """One full round from a cop-to-move state.
-
-    Returns (action, successor keys) per legal action, deduplicated by
-    successor set, first-encountered action kept.  An empty successor
-    tuple means the action wins on the spot (every branch terminal).
-    Monotonicity-violating actions are omitted entirely.
-    """
-    cops, tag, payload, snap = key
-    g = ctx.g
-    adjc = ctx.adjc
-    out: list[tuple[tuple[int, ...], tuple[Key, ...]]] = []
-    seen_sets: set[tuple[Key, ...]] = set()
-
-    if tag == _DEL:
-        B = payload
-        for a, am, _bm in ctx.moves(cops):
-            surv = B & ~am
-            if surv == 0:
-                succs: tuple[Key, ...] = ()
-            else:
-                ss = {(a, _DEL, adjc[v] & ~am, SNAP_FREE) for v in bits(surv)}
-                succs = tuple(sorted(ss))
-            if succs not in seen_sets:
-                seen_sets.add(succs)
-                out.append((a, succs))
-        return out
-
-    if tag == _VIS:
-        r = payload
-        for a, am, bm in ctx.moves(cops):
-            if (am >> r) & 1:
-                succs = ()
-            else:
-                choices = adjc[r] & ~am
-                ss = set()
-                if not ctx.see:
-                    for w in bits(choices & bm):
-                        ss.add((a, _VIS, w, SNAP_FREE))
-                esc = choices & ~bm
-                if esc:
-                    ss.add((a, _INV, esc, SNAP_FREE))
-                succs = tuple(sorted(ss))
-            if succs not in seen_sets:
-                seen_sets.add(succs)
-                out.append((a, succs))
-        return out
-
-    T = payload
-    for a, am, bm in ctx.moves(cops):
-        rest = T & ~am
-        unseen = rest & ~bm
-        if ctx.mono and snap != SNAP_FREE and unseen & ~snap:
-            continue
-        nsnap = unseen if ctx.mono else SNAP_FREE
-        ss = set()
-        if not ctx.see:
-            for v in bits(rest & bm):
-                ch = adjc[v] & ~am
-                for w in bits(ch & bm):
-                    ss.add((a, _VIS, w, SNAP_FREE))
-                esc = ch & ~bm
-                if esc:
-                    ss.add((a, _INV, esc, SNAP_FREE))
-        if unseen:
-            grown = g.grow(unseen) & ~am
-            if not ctx.see:
-                for w in bits(grown & bm):
-                    ss.add((a, _VIS, w, SNAP_FREE))
-            u2 = grown & ~bm
-            if u2:
-                ss.add((a, _INV, u2, nsnap))
-        succs = tuple(sorted(ss))
-        if succs not in seen_sets:
-            seen_sets.add(succs)
-            out.append((a, succs))
-    return out
-
-
-def successors(g: Graph, spec: GameSpec, state: BeliefState) -> dict[tuple, tuple]:
-    """Per-action successor keys from a cop-to-move state (test hook).
-
-    Monotonicity-violating actions are absent; an empty value means the
-    action ends the game.  Actions collapsing to an already-listed
-    successor set are folded into the first action with that set.
-    """
-    spec = spec.resolve(g)
-    ctx = _Ctx(g, spec)
-    return {a: succs for a, succs in _expand(ctx, state.key())}
 
 
 @dataclass(frozen=True)
@@ -339,7 +183,7 @@ def solve(
     placement_roots: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for p in itertools.combinations_with_replacement(range(g.n), spec.cops):
         roots = []
-        for k in _initial_keys(ctx, p):
+        for k in _initial_keys(ctx, p, g.full):
             i = index.get(k)
             if i is None:
                 if len(keys) >= budget:
@@ -358,7 +202,8 @@ def solve(
         for i in range(lo, hi):
             win = None
             rows = []
-            for a, succ_keys in _expand(ctx, keys[i]):
+            key = keys[i]
+            for a, succ_keys in _expand(ctx, key, ctx.moves(key[0])):
                 if not succ_keys:
                     if win is None:
                         win = a
@@ -648,7 +493,7 @@ class SolvedCops:
         return self._out.placement
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState) -> tuple[int, ...]:
-        act = self._out.policy.get(state.key())
+        act = self._out.policy.get(state)
         return act if act is not None else state.cops
 
 
@@ -673,37 +518,34 @@ class SolvedRobber:
         return (0, self._waves.get(key, 0))
 
     def place(self, g: Graph, spec: GameSpec, cops: tuple[int, ...]) -> int | None:
-        spec = spec.resolve(g)
-        ctx = _Ctx(g, spec)
-        roots = _initial_keys(ctx, tuple(sorted(cops)))
+        roots = initial_branches(g, spec, cops)
         if not roots:
             free = g.full & ~mask_of(cops)
             return max(bits(free), default=None)
-        best_key = max(roots, key=lambda k: (self._score(k), -k[1]))
-        return self._pick_vertex(g, cops, best_key)
+        best = max(roots, key=lambda s: (self._score(s), -s.tag))
+        if best.tag == VIS:
+            return best.payload
+        far = lambda w: min(g.dist[c][w] for c in cops)
+        return max(bits(best.payload), key=lambda w: (far(w), -w))
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState, robber: int) -> int:
-        spec = spec.resolve(g)
         cops = state.cops
         am = mask_of(cops)
         choices = list(bits(g.adj_closed[robber] & ~am))
         far = lambda w: min(g.dist[c][w] for c in cops)
-        if isinstance(state.phase, Delayed):
+        if state.tag == DEL:
             # disclosure reveals the pre-move vertex, so every choice lands
             # in the same belief branch; just keep the distance
             return max(choices, key=lambda w: (far(w), -w))
         landing: dict[int, Key] = {}
-        for b in robber_turn(g, spec, state).branches:
-            if b.won:
-                continue
-            p = b.state.phase
-            if isinstance(p, Visible):
-                if p.robber in choices:
-                    landing[p.robber] = b.state.key()
-            elif isinstance(p, Invisible):
+        for s in robber_turn(g, spec, state):
+            if s.tag == VIS:
+                if s.payload in choices:
+                    landing[s.payload] = s
+            else:
                 for w in choices:
-                    if (p.territory >> w) & 1:
-                        landing[w] = b.state.key()
+                    if (s.payload >> w) & 1:
+                        landing[w] = s
 
         def rank(w: int):
             if w not in landing:  # terminal for the evader (seen under SEE)
@@ -711,12 +553,6 @@ class SolvedRobber:
             return (self._score(landing[w]), far(w), -w)
 
         return max(choices, key=rank)
-
-    def _pick_vertex(self, g: Graph, cops, key: Key) -> int:
-        if key[1] == _VIS:
-            return key[2]
-        far = lambda w: min(g.dist[c][w] for c in cops)
-        return max(bits(key[2]), key=lambda w: (far(w), -w))
 
 
 def extract_policies(outcome: SolveOutcome) -> tuple:

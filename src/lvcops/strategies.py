@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import (
+    INV,
+    VIS,
     BeliefState,
     GameSpec,
-    Invisible,
     Script,
     Variant,
-    Visible,
+    _match_step,
     cop_turn,
     initial_branches,
     robber_turn,
@@ -510,9 +511,9 @@ class _ChordalPursuit(OnlinePolicy):
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState) -> tuple[int, ...]:
         cop = state.cops[0]
-        if not isinstance(state.phase, Visible):
+        if state.tag != VIS:
             return state.cops  # sight never lapses once gained; stand fast
-        r = state.phase.robber
+        r = state.payload
         d = g.dist[cop][r]
         if d <= 1:
             return (r,)
@@ -538,28 +539,6 @@ def chordal_pursuit(
         if peo is None:
             raise ValueError("graph is not chordal")
     return _ChordalPursuit(g, ell, start, first_sight, tuple(peo.order))
-
-
-def _match_moves(g: Graph, current: list[int], target: tuple[int, ...]) -> list[int]:
-    """Per-cop destinations realizing the sorted target multiset legally."""
-    goal = list(target)
-
-    def backtrack(i: int, remaining: list[int]) -> list[int] | None:
-        if i == len(current):
-            return []
-        here = current[i]
-        legal = g.adj_closed[here]
-        for j, v in enumerate(remaining):
-            if (legal >> v) & 1:
-                rest = backtrack(i + 1, remaining[:j] + remaining[j + 1 :])
-                if rest is not None:
-                    return [v] + rest
-        return None
-
-    out = backtrack(0, goal)
-    if out is None:
-        raise ValueError(f"no legal per-cop matching from {current} to {target}")
-    return out
 
 
 class _ShadowCapture(OnlinePolicy):
@@ -603,37 +582,36 @@ class _ShadowCapture(OnlinePolicy):
         self._belief = self._only_unseen(after)
 
     @staticmethod
-    def _only_unseen(branches) -> BeliefState:
-        for b in branches.branches:
-            if not b.won and isinstance(b.state.phase, Invisible):
-                return b.state
+    def _only_unseen(states) -> BeliefState:
+        for s in states:
+            if s.tag == INV:
+                return s
         raise AssertionError("unseen branch must exist while the referee reports unseen")
 
     def place(self, g: Graph, spec: GameSpec) -> tuple[int, ...]:
         base = list(self._see.placement)
         self._pos = base + [base[0]] * (self.cops - len(base))
         seekers = tuple(sorted(base))
-        for b in initial_branches(g, self._see.spec, seekers).branches:
-            if not b.won and isinstance(b.state.phase, Invisible):
-                self._belief = b.state
-                break
+        self._belief = next(
+            (s for s in initial_branches(g, self._see.spec, seekers) if s.tag == INV), None
+        )
         return tuple(self._pos)
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState) -> tuple[int, ...]:
-        if self.phase == "seek" and isinstance(state.phase, Visible):
-            self._start_tracking(g, state.phase.robber)
+        if self.phase == "seek" and state.tag == VIS:
+            self._start_tracking(g, state.payload)
         if self.phase == "seek":
             if self._pending is not None:
                 self._advance_belief(g)
             want = SolvedCops(self._see).move(g, self._see.spec, self._belief)
             seekers = self._pos[: self._seekers]
-            moved = _match_moves(g, seekers, want)
+            moved = _match_step(g, seekers, want)
             self._pos[: self._seekers] = moved
             self._pending = tuple(sorted(moved))
             return tuple(self._pos)
-        if not isinstance(state.phase, Visible):
+        if state.tag != VIS:
             return tuple(self._pos)  # tracking keeps sight; nothing to do
-        r = state.phase.robber
+        r = state.payload
         ti = self._tracker
         d = g.dist[self._pos[ti]][r]
         if d <= 1:
@@ -644,9 +622,9 @@ class _ShadowCapture(OnlinePolicy):
                 u for u in bits(g.adj[self._pos[ti]]) if g.dist[u][r] == d - 1
             )
         squad = [self._pos[i] for i in self._squad]
-        key_state = BeliefState(tuple(sorted(squad)), Visible(r))
+        key_state = BeliefState(tuple(sorted(squad)), VIS, r)
         want = SolvedCops(self._classical).move(g, self._classical.spec, key_state)
-        moved = _match_moves(g, squad, want)
+        moved = _match_step(g, squad, want)
         for i, v in zip(self._squad, moved):
             self._pos[i] = v
         return tuple(self._pos)

@@ -254,6 +254,8 @@ def test_solve_number_solves_final_count_once(capsys, monkeypatch):
         ["solve", "--recipe", "cycle:4", "--ell", "1", "--budget", "0"],
         ["profile", "--recipe", "cycle:4", "--budget", "-3"],
         ["witness", "--ell", "1", "--limit", "1", "--workers", "two"],
+        ["simulate", "--recipe", "path:4", "--ell", "1", "--cops", "1", "--rounds", "-1"],
+        ["witness", "--ell", "1", "--limit", "-5"],
     ],
 )
 def test_bad_solver_flag_value_exits_one(capsys, argv):
@@ -261,7 +263,8 @@ def test_bad_solver_flag_value_exits_one(capsys, argv):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert ("--workers" in err or "--budget" in err) and "Traceback" not in err
+    flags = ("--workers", "--budget", "--rounds", "--limit")
+    assert any(f in err for f in flags) and "Traceback" not in err
 
 
 

@@ -8,11 +8,12 @@ import random
 import pytest
 
 from lvcops.engine import (
+    DEL,
+    INV,
+    VIS,
     BeliefState,
-    Delayed,
     GameSpec,
     IllegalMove,
-    Invisible,
     MonotonicityViolation,
     Outcome,
     RandomRobber,
@@ -21,7 +22,6 @@ from lvcops.engine import (
     ScriptError,
     ScriptedCops,
     Variant,
-    Visible,
     cop_turn,
     dump_script,
     initial_branches,
@@ -57,20 +57,12 @@ def random_connected(n, extra, rng):
     return Graph(n, sorted(edges))
 
 
-def territories(bs):
-    return sorted(
-        sorted(bits(b.state.phase.territory))
-        for b in bs.branches
-        if not b.won and isinstance(b.state.phase, Invisible)
-    )
+def territories(states):
+    return sorted(sorted(bits(s.payload)) for s in states if s.tag == INV)
 
 
-def visible_robbers(bs):
-    return sorted(
-        b.state.phase.robber
-        for b in bs.branches
-        if not b.won and isinstance(b.state.phase, Visible)
-    )
+def visible_robbers(states):
+    return sorted(s.payload for s in states if s.tag == VIS)
 
 
 def test_spec_validation_and_resolve():
@@ -89,8 +81,7 @@ def test_spec_validation_and_resolve():
 
 def test_initial_k1_vacuous():
     g = Graph(1, [])
-    bs = initial_branches(g, GameSpec(1, 1), [0])
-    assert bs.vacuous_win
+    assert initial_branches(g, GameSpec(1, 1), [0]) == ()
 
 
 def test_initial_c5():
@@ -110,16 +101,16 @@ def test_initial_c4():
 def test_initial_see_goal_wins_on_sight():
     g = cycle(4)
     bs = initial_branches(g, GameSpec(1, 1, Variant.SEE), [0])
-    assert sum(b.won for b in bs.branches) == 2
+    assert visible_robbers(bs) == []  # the two seen picks end the game
     assert territories(bs) == [[2]]
 
 
 def test_initial_delayed():
     g = path(4)
     bs = initial_branches(g, GameSpec(1, 1, Variant.TIME_DELAYED), [1])
-    (b,) = bs.branches
-    assert isinstance(b.state.phase, Delayed)
-    assert sorted(bits(b.state.phase.belief)) == [0, 2, 3]
+    (b,) = bs
+    assert b.tag == DEL
+    assert sorted(bits(b.payload)) == [0, 2, 3]
 
 
 def test_initial_wrong_cop_count():
@@ -129,7 +120,7 @@ def test_initial_wrong_cop_count():
 
 def test_cop_turn_ball_covers_territory():
     g = cycle(4)
-    st = BeliefState((0,), Invisible(mask_of([2])))
+    st = BeliefState((0,), INV, mask_of([2]))
     bs = cop_turn(g, GameSpec(1, 1), st, (1,))
     assert visible_robbers(bs) == [2]
     assert territories(bs) == []
@@ -137,14 +128,13 @@ def test_cop_turn_ball_covers_territory():
 
 def test_cop_turn_capture_visible():
     g = path(3)
-    st = BeliefState((0,), Visible(1))
-    bs = cop_turn(g, GameSpec(1, 1), st, (1,))
-    assert bs.all_won and bs.branches[0].why == "captured"
+    st = BeliefState((0,), VIS, 1)
+    assert cop_turn(g, GameSpec(1, 1), st, (1,)) == ()  # captured
 
 
 def test_cop_turn_p5_unseen_remainder():
     g = path(5)
-    st = BeliefState((0,), Invisible(mask_of([3, 4])))
+    st = BeliefState((0,), INV, mask_of([3, 4]))
     bs = cop_turn(g, GameSpec(1, 1), st, (1,))
     assert visible_robbers(bs) == []
     assert territories(bs) == [[3, 4]]
@@ -152,7 +142,7 @@ def test_cop_turn_p5_unseen_remainder():
 
 def test_cop_turn_illegal_step():
     g = path(5)
-    st = BeliefState((0,), Invisible(mask_of([3, 4])))
+    st = BeliefState((0,), INV, mask_of([3, 4]))
     with pytest.raises(IllegalMove):
         cop_turn(g, GameSpec(1, 1), st, (2,))
     with pytest.raises(IllegalMove):
@@ -163,18 +153,17 @@ def test_cop_turn_monotone_violation_and_forced_move():
     # territory {3,4} with baseline {3}: the only compliant move covers 4
     g = path(5)
     spec = GameSpec(1, 1, Variant.MONOTONE_CAPTURE)
-    st = BeliefState((2,), Invisible(mask_of([3, 4])), mask_of([3]))
+    st = BeliefState((2,), INV, mask_of([3, 4]), mask_of([3]))
     with pytest.raises(MonotonicityViolation):
         cop_turn(g, spec, st, (1,))
     bs = cop_turn(g, spec, st, (3,))
     assert territories(bs) == []  # landing on 3 captures it and lights up 4
     assert visible_robbers(bs) == [4]
-    assert any(b.won and b.why == "captured" for b in bs.branches)
 
 
 def test_robber_turn_expansion_p5():
     g = path(5)
-    st = BeliefState((1,), Invisible(mask_of([4])))
+    st = BeliefState((1,), INV, mask_of([4]))
     bs = robber_turn(g, GameSpec(1, 1), st)
     assert territories(bs) == [[3, 4]]
     assert visible_robbers(bs) == []
@@ -182,7 +171,7 @@ def test_robber_turn_expansion_p5():
 
 def test_robber_turn_visible_stand_still_escape():
     g = cycle(4)
-    st = BeliefState((0,), Visible(2))
+    st = BeliefState((0,), VIS, 2)
     bs = robber_turn(g, GameSpec(1, 1), st)
     assert visible_robbers(bs) == [1, 3]
     assert territories(bs) == [[2]]
@@ -191,31 +180,27 @@ def test_robber_turn_visible_stand_still_escape():
 def test_robber_turn_delayed_round_p3():
     g = path(3)
     spec = GameSpec(1, 1, Variant.TIME_DELAYED)
-    st = BeliefState((0,), Delayed(mask_of([1, 2])))
-    mid = cop_turn(g, spec, st, (1,))
-    assert any(b.won for b in mid.branches)
-    (alive,) = [b.state for b in mid.branches if not b.won]
-    assert sorted(bits(alive.phase.belief)) == [2]
+    st = BeliefState((0,), DEL, mask_of([1, 2]))
+    (alive,) = cop_turn(g, spec, st, (1,))  # the pick on 1 is captured
+    assert sorted(bits(alive.payload)) == [2]
     out = robber_turn(g, spec, alive)
-    beliefs = sorted(sorted(bits(b.state.phase.belief)) for b in out.branches)
+    beliefs = sorted(sorted(bits(s.payload)) for s in out)
     assert beliefs == [[2]]
 
 
 def test_robber_turn_cornered_artificial():
     g = path(2)
-    st = BeliefState((0, 1), Visible(1))
-    bs = robber_turn(g, GameSpec(1, 2), st)
-    assert bs.all_won and bs.branches[0].why == "cornered"
+    st = BeliefState((0, 1), VIS, 1)
+    assert robber_turn(g, GameSpec(1, 2), st) == ()
 
 
 def test_zero_vis_never_sees():
     g = cycle(5)
     spec = GameSpec(3, 1, Variant.ZERO_VIS).resolve(g)
-    st = BeliefState((0,), Invisible(mask_of([1, 2, 3, 4])))
+    st = BeliefState((0,), INV, mask_of([1, 2, 3, 4]))
     bs = cop_turn(g, spec, st, (1,))
     assert visible_robbers(bs) == []
-    assert any(b.won for b in bs.branches)  # vertex 1 captured
-    assert territories(bs) == [[2, 3, 4]]
+    assert territories(bs) == [[2, 3, 4]]  # vertex 1 captured
 
 
 def test_branches_partition_consistent_choices():
@@ -240,20 +225,17 @@ def test_branches_partition_consistent_choices():
             t &= ~ballmask
             if t == 0:
                 continue
-            st = BeliefState(cops, Invisible(t))
+            st = BeliefState(cops, INV, t)
             expected = g.grow(t) & ~copmask
         else:
             r = rng.choice(list(bits(free)))
-            st = BeliefState(cops, Visible(r))
+            st = BeliefState(cops, VIS, r)
             expected = g.adj_closed[r] & ~copmask
         bs = robber_turn(g, spec, st)
+        assert bs or expected == 0
         got = 0
-        for b in bs.branches:
-            assert not b.won or expected == 0
-            if b.won:
-                continue
-            p = b.state.phase
-            piece = (1 << p.robber) if isinstance(p, Visible) else p.territory
+        for s in bs:
+            piece = (1 << s.payload) if s.tag == VIS else s.payload
             assert got & piece == 0  # disjoint
             got |= piece
         assert got == expected
@@ -261,7 +243,7 @@ def test_branches_partition_consistent_choices():
 
 def test_round_branches_composition():
     g = cycle(6)
-    st = BeliefState((0,), Invisible(mask_of([3])))
+    st = BeliefState((0,), INV, mask_of([3]))
     bs = round_branches(g, GameSpec(1, 1), st, (1,))
     # cop to 1, territory {3} unseen (N_1[1]={0,1,2}), robber to {2,3,4}: 2 seen
     assert visible_robbers(bs) == [2]
@@ -355,8 +337,8 @@ def test_simulate_matches_turn_composition():
         rep = simulate_script(g, spec, script)
 
         bs = initial_branches(g, spec, script.positions(0))
-        inv = [b.state for b in bs.branches if not b.won and isinstance(b.state.phase, Invisible)]
-        t = inv[0].phase.territory if inv else 0
+        inv = [s for s in bs if s.tag == INV]
+        t = inv[0].payload if inv else 0
         assert rep.snapshots[0] == t
         state = inv[0] if inv else None
         for rnd in range(1, length + 1):
@@ -364,13 +346,13 @@ def test_simulate_matches_turn_composition():
                 assert rep.snapshots[rnd] == 0
                 continue
             mid = cop_turn(g, spec, state, script.positions(rnd))
-            inv = [b.state for b in mid.branches if not b.won and isinstance(b.state.phase, Invisible)]
-            assert rep.snapshots[rnd] == (inv[0].phase.territory if inv else 0)
+            inv = [s for s in mid if s.tag == INV]
+            assert rep.snapshots[rnd] == (inv[0].payload if inv else 0)
             if not inv:
                 state = None
                 continue
             after = robber_turn(g, spec, inv[0])
-            inv = [b.state for b in after.branches if not b.won and isinstance(b.state.phase, Invisible)]
+            inv = [s for s in after if s.tag == INV]
             state = inv[0] if inv else None
 
 

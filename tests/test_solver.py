@@ -3,26 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import random
 
 import pytest
 
-from lvcops.engine import (
-    BeliefState,
-    Delayed,
-    GameSpec,
-    Invisible,
-    MonotonicityViolation,
-    Outcome,
-    Variant,
-    Visible,
-    cop_turn,
-    play_match,
-    robber_turn,
-)
+from lvcops.engine import GameSpec, Outcome, Variant, play_match
 from lvcops.families import generate, parse_recipe
-from lvcops.graphs import Graph, bits, mask_of
+from lvcops.graphs import Graph, bits, is_copwin
 from lvcops.solver import (
     BudgetExceeded,
     ChainViolation,
@@ -34,7 +23,6 @@ from lvcops.solver import (
     profile,
     search_witness,
     solve,
-    successors,
 )
 
 
@@ -201,62 +189,136 @@ def test_pinned_solves(recipe, spec, budget, expected, policy_digest):
         assert hashlib.sha256(blob).hexdigest()[:16] == policy_digest
 
 
-def test_successors_match_engine_round():
+# -- independent oracles ------------------------------------------------------------
+# Written from the rules, not from the engine: neighbourhoods and balls come
+# from g.dist, and nothing here calls the transition kernel.
+
+
+def _near(g, r):
+    """Per vertex, the vertices within distance r."""
+    return [frozenset(w for w in range(g.n) if g.dist[v][w] <= r) for v in range(g.n)]
+
+
+def _cop_steps(step, cops):
+    """Every sorted cop tuple one half-move (pass or cross an edge) away."""
+    return {tuple(sorted(c)) for c in itertools.product(*(step[v] for v in cops))}
+
+
+def _explicit_classical_depth(g, k):
+    """Full-information capture game over explicit (cops, evader) positions
+    with the cops to move.  A position's wave is the number of cop moves
+    that capture against the best evader; the game's depth is the best
+    placement's worst wave, None when the evader wins."""
+    step = _near(g, 1)
+    placements = list(itertools.combinations_with_replacement(range(g.n), k))
+    todo = [(c, r) for c in placements for r in range(g.n) if r not in c]
+    wave_of = {}
+    wave = 0
+    while True:
+        wave += 1
+        new = [
+            (c, r)
+            for c, r in todo
+            if (c, r) not in wave_of
+            and any(
+                r in c2 or all((c2, r2) in wave_of for r2 in step[r] if r2 not in c2)
+                for c2 in _cop_steps(step, c)
+            )
+        ]
+        if not new:
+            break
+        wave_of.update(dict.fromkeys(new, wave))
+    depths = [
+        max((wave_of[c, r] for r in range(g.n) if r not in c), default=0)
+        for c in placements
+        if all((c, r) in wave_of for r in range(g.n) if r not in c)
+    ]
+    return min(depths, default=None)
+
+
+def _open_loop_depth(g, k, ell):
+    """Depth of a game where the cops learn nothing before they win: the
+    seeing game at any radius, and the capture game at radius 0, where a
+    sighting is a capture.  A cop strategy is then a fixed walk, so search
+    (cops, unseen territory) breadth-first for the shortest walk that
+    empties the territory; None when no walk does."""
+    step = _near(g, 1)
+    ball = _near(g, ell)
+
+    def watched(cops):
+        return frozenset().union(*(ball[c] for c in cops))
+
+    frontier = []
+    for c in itertools.combinations_with_replacement(range(g.n), k):
+        t = frozenset(range(g.n)) - watched(c)
+        if not t:
+            return 0
+        frontier.append((c, t))
+    visited = set(frontier)
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for c, t in frontier:
+            for c2 in _cop_steps(step, c):
+                w = watched(c2)
+                t2 = frozenset(x for v in t - w for x in step[v]) - w
+                if not t2:
+                    return depth
+                if (c2, t2) not in visited:
+                    visited.add((c2, t2))
+                    nxt.append((c2, t2))
+        frontier = nxt
+    return None
+
+
+def _depth(g, ell, k, variant):
+    out = solve(g, GameSpec(ell, k, variant))
+    assert out.winner is not Winner.INCONCLUSIVE
+    assert (out.winner is Winner.COPS) == (out.depth is not None)
+    return out.depth
+
+
+def _oracle_graphs():
     rng = random.Random(31)
-    for trial in range(50):
-        g = random_connected(rng.randrange(3, 8), rng.randrange(0, 3), rng)
-        k = rng.randrange(1, 3)
-        variant = rng.choice(
-            [Variant.CAPTURE, Variant.SEE, Variant.TIME_DELAYED, Variant.MONOTONE_CAPTURE]
-        )
-        spec = GameSpec(rng.randrange(0, 3), k, variant)
-        cops = tuple(sorted(rng.randrange(g.n) for _ in range(k)))
-        copmask = mask_of(cops)
-        free = g.full & ~copmask
-        if free == 0:
-            continue
-        ball = 0
-        for c in cops:
-            ball |= g.balls(spec.ell)[c]
-        if variant is Variant.TIME_DELAYED:
-            state = BeliefState(cops, Delayed(free))
-        elif rng.random() < 0.5 and free & ball and variant is not Variant.SEE:
-            state = BeliefState(cops, Visible((free & ball).bit_length() - 1))
-        else:
-            t = free & ~ball
-            if t == 0:
-                continue
-            snap = t if variant is Variant.MONOTONE_CAPTURE else -1
-            state = BeliefState(cops, Invisible(t), snap)
+    return [random_connected(rng.randrange(2, 8), rng.randrange(0, 4), rng) for _ in range(45)]
 
-        table = successors(g, spec, state)
-        # reconstruct per-action branch keys through the engine, then compare
-        per_cop = [sorted(bits(g.adj_closed[c])) for c in cops]
-        import itertools as it
 
-        seen_actions = set()
-        for combo in it.product(*per_cop):
-            a = tuple(sorted(combo))
-            if a in seen_actions:
+def test_one_cop_classical_matches_copwin_and_explicit_search():
+    outcomes = []
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for sel in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if (sel >> i) & 1])
+            if not g.is_connected():
                 continue
-            seen_actions.add(a)
-            try:
-                mid = cop_turn(g, spec, state, a)
-            except MonotonicityViolation:
-                for act, succ in table.items():
-                    assert act != a
-                continue
-            keyset = set()
-            for b in mid.branches:
-                if b.won:
-                    continue
-                for bb in robber_turn(g, spec, b.state).branches:
-                    if not bb.won:
-                        keyset.add(bb.state.key())
-            # the table folds duplicate successor sets into one action
-            expected = tuple(sorted(keyset))
-            folded = [succ for succ in table.values() if succ == expected]
-            assert folded, (a, expected, table)
+            depth = _depth(g, 0, 1, Variant.CLASSICAL)
+            assert depth == _explicit_classical_depth(g, 1), g.edges
+            assert (depth is not None) == is_copwin(g), g.edges
+            outcomes.append(depth is not None)
+    assert len(outcomes) == 772 and set(outcomes) == {True, False}
+
+
+def test_blind_games_match_open_loop_search():
+    outcomes = set()
+    for g in _oracle_graphs():
+        for k in (1, 2):
+            for ell, variant in ((0, Variant.SEE), (1, Variant.SEE), (2, Variant.SEE),
+                                 (0, Variant.CAPTURE)):
+                depth = _depth(g, ell, k, variant)
+                assert depth == _open_loop_depth(g, k, ell), (g.edges, k, ell, variant)
+                outcomes.add(depth is not None)
+    assert outcomes == {True, False}
+
+
+def test_classical_matches_explicit_search():
+    outcomes = set()
+    for g in _oracle_graphs():
+        for k in (1, 2):
+            depth = _depth(g, 0, k, Variant.CLASSICAL)
+            assert depth == _explicit_classical_depth(g, k), (g.edges, k)
+            outcomes.add(depth is not None)
+    assert outcomes == {True, False}
 
 
 def test_policy_captures_against_solver_robber():

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from lvcops.engine import (
+    INV,
     BeliefState,
     GameSpec,
-    Invisible,
     Outcome,
     RandomRobber,
     Variant,
@@ -372,7 +372,7 @@ def test_pursuit_distance_potential():
 def test_pursuit_stands_fast_without_sight():
     g = path_graph(6)
     pol = chordal_pursuit(g, 1, 2, 3)
-    state = BeliefState((2,), Invisible(1 << 5))
+    state = BeliefState((2,), INV, 1 << 5)
     assert pol.move(g, GameSpec(1, 1, Variant.CAPTURE), state) == (2,)
 
 
