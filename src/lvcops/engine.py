@@ -50,12 +50,6 @@ class Variant(Enum):
     ZERO_VIS = "zero_vis"
 
 
-# variants that end the game at first sighting
-_SEE_GOAL = frozenset({Variant.SEE})
-# variants where the live-observation machinery applies at all
-_DELAYED = frozenset({Variant.TIME_DELAYED})
-
-
 @dataclass(frozen=True)
 class GameSpec:
     """Visibility radius, cop count, and rule variant.
@@ -86,11 +80,11 @@ class GameSpec:
 
     @property
     def see_goal(self) -> bool:
-        return self.variant in _SEE_GOAL
+        return self.variant is Variant.SEE
 
     @property
     def delayed(self) -> bool:
-        return self.variant in _DELAYED
+        return self.variant is Variant.TIME_DELAYED
 
     @property
     def monotone(self) -> bool:
@@ -624,7 +618,7 @@ def play_match(
     if spec.see_goal and _observe(spec, g, cops, robber):
         trace.outcome = Outcome.SEEN
         return trace
-    state = _realize(g, opening, robber)
+    state = _realized(g, opening, robber)
 
     for rnd in range(1, max_rounds + 1):
         trace.rounds = rnd
@@ -640,7 +634,7 @@ def play_match(
         if seen_now and spec.see_goal:
             trace.outcome = Outcome.SEEN
             return trace
-        state = _realize(g, mid, robber)
+        state = _realized(g, mid, robber)
 
         nxt = robber_policy.move(g, spec, state, robber)
         if nxt not in list(bits(g.adj_closed[robber] & ~mask_of(new_cops))):
@@ -654,17 +648,19 @@ def play_match(
             trace.outcome = Outcome.SEEN
             return trace
         after = robber_turn(g, spec, state)
-        state = _realize(g, after, robber, delayed_prev=prev)
+        state = _realized(g, after, robber, prev)
     return trace
 
 
-def _realize(
+def _branch(
     g: Graph,
     states: tuple[BeliefState, ...],
     robber: int,
     delayed_prev: int | None = None,
-) -> BeliefState:
-    """Pick the ongoing state consistent with the evader's true position.
+) -> BeliefState | None:
+    """The ongoing state that holds the evader's vertex, or None when the
+    cops won every branch holding it.  This is the one rule that puts an
+    evader vertex into its belief branch, for the referee and SolvedRobber.
 
     Matching is structural: a VIS state persists through the cops'
     half-move even when their balls no longer cover the evader, because the
@@ -681,7 +677,15 @@ def _realize(
                 return s
         elif (s.payload >> robber) & 1:
             return s
-    raise AssertionError("no branch consistent with the evader's position")
+    return None
+
+
+def _realized(g: Graph, states, robber: int, delayed_prev: int | None = None) -> BeliefState:
+    """The referee's branch: the game is still on, so one must hold the evader."""
+    s = _branch(g, states, robber, delayed_prev)
+    if s is None:
+        raise AssertionError("no branch consistent with the evader's position")
+    return s
 
 
 # -- convenience policies ---------------------------------------------------------

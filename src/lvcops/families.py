@@ -354,21 +354,25 @@ def generate(recipe: FamilyRecipe) -> GeneratedGraph:
     raise ValueError(f"unknown family kind {k!r}")
 
 
-_POSITIONAL = {
-    FamilyKind.PATH: ("n",),
-    FamilyKind.CYCLE: ("n",),
-    FamilyKind.COMPLETE: ("n",),
-    FamilyKind.COMPLETE_BIPARTITE: ("m", "n"),
-    FamilyKind.SPIDER: ("legs", "length"),
-    FamilyKind.SUBDIVIDED_BINARY: ("depth", "subdivisions"),
-    FamilyKind.RANDOM_TREE: ("n", "seed"),
-    FamilyKind.RANDOM_CHORDAL: ("n", "seed"),
+# per family: its parameter names, and how many of them (from the front)
+# may be given positionally
+_PARAMS = {
+    FamilyKind.PATH: (("n",), 1),
+    FamilyKind.CYCLE: (("n",), 1),
+    FamilyKind.COMPLETE: (("n",), 1),
+    FamilyKind.COMPLETE_BIPARTITE: (("m", "n"), 2),
+    FamilyKind.SPIDER: (("legs", "length"), 2),
+    FamilyKind.T_FAMILY: (("k", "ell", "attach"), 0),
+    FamilyKind.SUBDIVIDED_BINARY: (("depth", "subdivisions"), 2),
+    FamilyKind.RANDOM_TREE: (("n", "seed"), 2),
+    FamilyKind.RANDOM_CHORDAL: (("n", "seed", "bias"), 2),
 }
 
 
 def parse_recipe(text: str) -> FamilyRecipe:
     """Parse compact recipe strings: 'cycle:6', 'subdivided:3,3',
-    'tfamily:k=2,ell=1'.  Positional and key=value arguments may mix.
+    'tfamily:k=2,ell=1'.  Positional and key=value arguments may mix; an
+    unknown or repeated parameter name is an error.
     """
     name, _, arg_text = text.partition(":")
     try:
@@ -376,18 +380,24 @@ def parse_recipe(text: str) -> FamilyRecipe:
     except ValueError:
         raise ValueError(f"unknown family {name!r}") from None
     args = [a.strip() for a in arg_text.split(",") if a.strip()] if arg_text else []
-    positional = _POSITIONAL.get(kind, ())
+    names, n_positional = _PARAMS[kind]
+    takes = f"{kind.value} takes {', '.join(names)}"
     params: dict[str, int] = {}
     pos = 0
     for a in args:
         if "=" in a:
             key, _, val = a.partition("=")
-            params[key.strip()] = int(val)
+            key = key.strip()
         else:
-            if pos >= len(positional):
-                raise ValueError(f"too many positional arguments for {name}")
-            params[positional[pos]] = int(a)
+            if pos >= n_positional:
+                raise ValueError(f"too many positional arguments for {kind.value}; {takes}")
+            key, val = names[pos], a
             pos += 1
+        if key not in names:
+            raise ValueError(f"unknown parameter {key!r}; {takes}")
+        if key in params:
+            raise ValueError(f"parameter {key!r} given twice; {takes}")
+        params[key] = int(val)
     return FamilyRecipe.make(kind, **params)
 
 

@@ -408,6 +408,10 @@ def dump_json(g: Graph) -> str:
     return json.dumps({"n": g.n, "edges": [list(e) for e in g.edges]}, sort_keys=True)
 
 
+def _is_int(x) -> bool:
+    return type(x) is int  # JSON true/false load as bool, a subclass of int
+
+
 def load(text: str) -> Graph:
     """Parse either serialization: '<n> <m>' header plus edge lines, or a
     JSON object {"n": ..., "edges": [[u, v], ...]}.  '#' lines are ignored.
@@ -415,7 +419,14 @@ def load(text: str) -> Graph:
     stripped = text.strip()
     if stripped.startswith("{"):
         obj = json.loads(stripped)
-        return Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        n, edges = obj.get("n"), obj.get("edges")
+        if not (
+            _is_int(n)
+            and isinstance(edges, list)
+            and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges)
+        ):
+            raise ValueError('expected a JSON object {"n": <int>, "edges": [[<int>, <int>], ...]}')
+        return Graph(n, [tuple(e) for e in edges])
     lines = [ln for ln in stripped.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ValueError("empty graph text")

@@ -49,6 +49,7 @@ from .engine import (
     GameSpec,
     Key,
     Variant,
+    _branch,
     _Ctx,
     _expand,
     _initial_keys,
@@ -87,13 +88,12 @@ class SolveOutcome:
     cop moves (the chosen placement attains it; 0 means the placement
     covers the graph).
 
-    keys, won, wave_of and chosen are the solve's per-state tables, indexed
-    by interning order (empty when INCONCLUSIVE).  The key-level views
-    policy, robber_winning and waves are built from them on first access:
-    policy maps winning state keys to the recorded first-completing action
-    and is set iff the cops win; robber_winning holds every non-won state
-    key and waves the wave of every won one, both set iff the game was
-    decided.
+    index maps each interned state key to its row, in interning order;
+    won, wave_of and chosen are the per-row tables (won flag, wave of a won
+    row, recorded first-completing action of a won row).  All four are empty
+    when INCONCLUSIVE.  Replay reads the solve through index alone
+    (SolvedCops, SolvedRobber).  policy, the key-level view of the recorded
+    actions, is built on first access and is set iff the cops win.
     """
 
     winner: Winner
@@ -103,7 +103,7 @@ class SolveOutcome:
     placement: tuple[int, ...] | None
     graph: Graph
     spec: GameSpec
-    keys: list[Key] = field(default_factory=list, repr=False)
+    index: dict[Key, int] = field(default_factory=dict, repr=False)
     won: bytearray = field(default_factory=bytearray, repr=False)
     wave_of: list[int] = field(default_factory=list, repr=False)
     chosen: list[tuple[int, ...] | None] = field(default_factory=list, repr=False)
@@ -112,26 +112,8 @@ class SolveOutcome:
     def policy(self) -> Mapping[Key, tuple[int, ...]] | None:
         if self.winner is not Winner.COPS:
             return None
-        keys, chosen = self.keys, self.chosen
-        return {keys[i]: chosen[i] for i, w in enumerate(self.won) if w}
-
-    @cached_property
-    def robber_winning(self) -> frozenset | None:
-        if self.winner is Winner.INCONCLUSIVE:
-            return None
-        keys = self.keys
-        return frozenset(keys[i] for i, w in enumerate(self.won) if not w)
-
-    @cached_property
-    def waves(self) -> dict[Key, int] | None:
-        if self.winner is Winner.INCONCLUSIVE:
-            return None
-        keys, wave_of = self.keys, self.wave_of
-        return {keys[i]: wave_of[i] for i, w in enumerate(self.won) if w}
-
-    def robber_policy(self):
-        """Playable adversary policy; only meaningful when the evader wins."""
-        return SolvedRobber(self) if self.winner is Winner.ROBBER else None
+        won, chosen = self.won, self.chosen
+        return {k: chosen[i] for k, i in self.index.items() if won[i]}
 
     def to_public_dict(self) -> dict:
         return {
@@ -270,7 +252,7 @@ def solve(
     winner = Winner.COPS if win_placement is not None else Winner.ROBBER
     return SolveOutcome(
         winner, n_states, tuple(wave_sizes), depth, win_placement, g, spec,
-        keys, won, wave_of, chosen,
+        index, won, wave_of, chosen,
     )
 
 
@@ -479,6 +461,8 @@ def search_witness(
 
 
 # -- playable policies out of a solve -------------------------------------------
+# Both policies read the solve through SolveOutcome.index; a state the solve
+# never reached is a pass for the cops and scores (0, 0) for the evader.
 
 
 class SolvedCops:
@@ -493,12 +477,13 @@ class SolvedCops:
         return self._out.placement
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState) -> tuple[int, ...]:
-        act = self._out.policy.get(state)
-        return act if act is not None else state.cops
+        i = self._out.index.get(state)
+        act = None if i is None else self._out.chosen[i]
+        return state.cops if act is None else act
 
 
 class SolvedRobber:
-    """Plays adversary branches from the solved tables.
+    """Plays adversary branches from the solved tables of a decided outcome.
 
     Branch choice is exact: prefer any branch the cops never win; among
     winning-for-cops branches take the deepest.  The concrete vertex
@@ -507,15 +492,17 @@ class SolvedRobber:
     """
 
     def __init__(self, outcome: SolveOutcome) -> None:
+        if outcome.winner is Winner.INCONCLUSIVE:
+            raise ValueError("evader policy requires a decided outcome")
         self._out = outcome
-        self._safe = outcome.robber_winning or frozenset()
-        self._waves = outcome.waves or {}
 
     def _score(self, key: Key) -> tuple[int, int]:
         # (robber-winning, survival depth): bigger is better
-        if key in self._safe:
-            return (1, 0)
-        return (0, self._waves.get(key, 0))
+        out = self._out
+        i = out.index.get(key)
+        if i is None:
+            return (0, 0)
+        return (0, out.wave_of[i]) if out.won[i] else (1, 0)
 
     def place(self, g: Graph, spec: GameSpec, cops: tuple[int, ...]) -> int | None:
         roots = initial_branches(g, spec, cops)
@@ -530,38 +517,18 @@ class SolvedRobber:
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState, robber: int) -> int:
         cops = state.cops
-        am = mask_of(cops)
-        choices = list(bits(g.adj_closed[robber] & ~am))
+        choices = bits(g.adj_closed[robber] & ~mask_of(cops))
         far = lambda w: min(g.dist[c][w] for c in cops)
         if state.tag == DEL:
             # disclosure reveals the pre-move vertex, so every choice lands
             # in the same belief branch; just keep the distance
             return max(choices, key=lambda w: (far(w), -w))
-        landing: dict[int, Key] = {}
-        for s in robber_turn(g, spec, state):
-            if s.tag == VIS:
-                if s.payload in choices:
-                    landing[s.payload] = s
-            else:
-                for w in choices:
-                    if (s.payload >> w) & 1:
-                        landing[w] = s
+        after = robber_turn(g, spec, state)
 
         def rank(w: int):
-            if w not in landing:  # terminal for the evader (seen under SEE)
+            s = _branch(g, after, w)
+            if s is None:  # terminal for the evader (seen under SEE)
                 return ((-1, 0), far(w), -w)
-            return (self._score(landing[w]), far(w), -w)
+            return (self._score(s), far(w), -w)
 
         return max(choices, key=rank)
-
-
-def extract_policies(outcome: SolveOutcome) -> tuple:
-    """Playable (cop, robber) policy pair for engine.play_match.
-
-    The cop side needs a cop-winning outcome; the robber side plays from
-    either decided outcome (optimally prolonging a lost game).
-    """
-    if outcome.winner is Winner.INCONCLUSIVE:
-        raise ValueError("no policies from an inconclusive solve")
-    cop = SolvedCops(outcome) if outcome.winner is Winner.COPS else None
-    return cop, SolvedRobber(outcome)

@@ -7,11 +7,11 @@ cut edge so the cut vertex falls inside some visibility ball at least every
 second round, which stops any unseen crossing, while the remaining cops
 clean one hanging subtree at a time.
 
-Policies are online artifacts for `play_match`: they react to the referee's
-belief state and read nothing else.  `chordal_pursuit` closes in once the
-evader has been seen; `shadow_capture` composes a seeing phase, a tracking
-cop that keeps the evader permanently visible, and a full-information squad
-that finishes the capture.
+Policies are online `engine.CopPolicy` objects for `play_match`: they react
+to the referee's belief state and read nothing else.  `chordal_pursuit`
+closes in once the evader has been seen; `shadow_capture` composes a seeing
+phase, a tracking cop that keeps the evader permanently visible, and a
+full-information squad that finishes the capture.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .engine import (
     INV,
     VIS,
     BeliefState,
+    CopPolicy,
     GameSpec,
     Script,
     Variant,
@@ -474,27 +475,7 @@ def _sub_clean(g: Graph, rt: _Rooted, wb: _Walks, s: int, crew: list[int], ell: 
 # -- online policies ------------------------------------------------------------------
 
 
-class OnlinePolicy:
-    """Reactive cop controller for play_match.
-
-    Decisions are a function of the observation stream alone: the belief
-    states the referee hands over, plus the policy's own prior moves.
-    reset() drops accumulated state so a replay can audit that property.
-    """
-
-    information_basis = "belief states handed over by the referee"
-
-    def place(self, g: Graph, spec: GameSpec) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def move(self, g: Graph, spec: GameSpec, state: BeliefState) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def reset(self) -> None:
-        pass
-
-
-class _ChordalPursuit(OnlinePolicy):
+class _ChordalPursuit:
     def __init__(self, g: Graph, ell: int, start: int, first_sight: int, order: tuple[int, ...]):
         self.ell = ell
         self.start = start
@@ -526,7 +507,7 @@ class _ChordalPursuit(OnlinePolicy):
 
 def chordal_pursuit(
     g: Graph, ell: int, start: int, first_sight: int, peo=None
-) -> OnlinePolicy:
+) -> CopPolicy:
     """Single-cop capture policy for a chordal graph after a first sighting.
 
     Each round the cop steps to a neighbor one unit closer to the evader's
@@ -541,8 +522,12 @@ def chordal_pursuit(
     return _ChordalPursuit(g, ell, start, first_sight, tuple(peo.order))
 
 
-class _ShadowCapture(OnlinePolicy):
+class _ShadowCapture:
     """Seek with a seeing policy, then track-and-capture.
+
+    Decisions are a function of the belief states the referee hands over
+    and the policy's own prior moves; reset() drops that history so a
+    replay can audit the property.
 
     While nothing has been seen, the first c' cops replay the solver's
     seeing policy against a privately maintained belief of that smaller
@@ -574,27 +559,19 @@ class _ShadowCapture(OnlinePolicy):
     # seeing game, keeping the branch where nothing has been seen (the
     # referee's state tells us that branch is the real one)
 
+    @staticmethod
+    def _unseen(states) -> BeliefState | None:
+        return next((s for s in states if s.tag == INV), None)
+
     def _advance_belief(self, g: Graph) -> None:
         spec = self._see.spec
-        mid = cop_turn(g, spec, self._belief, self._pending)
-        self._belief = self._only_unseen(mid)
-        after = robber_turn(g, spec, self._belief)
-        self._belief = self._only_unseen(after)
-
-    @staticmethod
-    def _only_unseen(states) -> BeliefState:
-        for s in states:
-            if s.tag == INV:
-                return s
-        raise AssertionError("unseen branch must exist while the referee reports unseen")
+        mid = self._unseen(cop_turn(g, spec, self._belief, self._pending))
+        self._belief = None if mid is None else self._unseen(robber_turn(g, spec, mid))
 
     def place(self, g: Graph, spec: GameSpec) -> tuple[int, ...]:
         base = list(self._see.placement)
         self._pos = base + [base[0]] * (self.cops - len(base))
-        seekers = tuple(sorted(base))
-        self._belief = next(
-            (s for s in initial_branches(g, self._see.spec, seekers) if s.tag == INV), None
-        )
+        self._belief = self._unseen(initial_branches(g, self._see.spec, base))
         return tuple(self._pos)
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState) -> tuple[int, ...]:
@@ -603,6 +580,8 @@ class _ShadowCapture(OnlinePolicy):
         if self.phase == "seek":
             if self._pending is not None:
                 self._advance_belief(g)
+            if self._belief is None:
+                raise AssertionError("unseen branch must exist while the referee reports unseen")
             want = SolvedCops(self._see).move(g, self._see.spec, self._belief)
             seekers = self._pos[: self._seekers]
             moved = _match_step(g, seekers, want)
@@ -613,14 +592,9 @@ class _ShadowCapture(OnlinePolicy):
             return tuple(self._pos)  # tracking keeps sight; nothing to do
         r = state.payload
         ti = self._tracker
-        d = g.dist[self._pos[ti]][r]
-        if d <= 1:
+        if g.dist[self._pos[ti]][r] <= 1:
             self.phase = "hound"
-            self._pos[ti] = r
-        else:
-            self._pos[ti] = min(
-                u for u in bits(g.adj[self._pos[ti]]) if g.dist[u][r] == d - 1
-            )
+        self._pos[ti] = _route(g, self._pos[ti], r)[0]
         squad = [self._pos[i] for i in self._squad]
         key_state = BeliefState(tuple(sorted(squad)), VIS, r)
         want = SolvedCops(self._classical).move(g, self._classical.spec, key_state)
@@ -645,7 +619,7 @@ def shadow_capture(
     see_outcome: SolveOutcome | None = None,
     classical_outcome: SolveOutcome | None = None,
     budget: int = 2_000_000,
-) -> OnlinePolicy:
+) -> CopPolicy:
     """Capture policy using max(seeing number, classical number + 1) cops.
 
     Valid for visibility radius at least 2: the tracker ends each of its

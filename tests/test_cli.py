@@ -274,6 +274,46 @@ def test_unknown_recipe_exits_one(capsys):
     assert "unknown family" in err
 
 
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        ("path:4,seed=3", "unknown parameter 'seed'; path takes n"),
+        ("cycle:6,x=3", "unknown parameter 'x'; cycle takes n"),
+        ("randomtree:n=6,seed=1,bias=9", "unknown parameter 'bias'; randomtree takes n, seed"),
+        ("cycle:6,n=7", "parameter 'n' given twice; cycle takes n"),
+        ("tfamily:2,ell=1", "too many positional arguments for tfamily; tfamily takes k, ell, attach"),
+    ],
+)
+def test_bad_recipe_parameter_exits_one(capsys, recipe, message):
+    code, out, err = run(capsys, ["generate", "--recipe", recipe])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 3}',
+        '{"edges": []}',
+        '{"n": null, "edges": []}',
+        '{"n": 3, "edges": 5}',
+        '{"n": 3, "edges": [["a", 1]]}',
+        '{"n": 3, "edges": [[0, 1.5]]}',
+        '{"n": 2.9, "edges": [[0, 1]]}',
+        '{"n": true, "edges": []}',
+    ],
+)
+def test_malformed_graph_file_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run(capsys, ["analyze", "--graph", str(path)])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err and '"n": <int>' in err
+
+
 def test_missing_required_flag_exits_one(capsys):
     code, _, err = run(capsys, ["solve", "--recipe", "cycle:4"])
     assert code == 1

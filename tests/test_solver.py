@@ -9,7 +9,16 @@ import random
 
 import pytest
 
-from lvcops.engine import GameSpec, Outcome, Variant, play_match
+from lvcops.engine import (
+    GameSpec,
+    Outcome,
+    Script,
+    Variant,
+    initial_branches,
+    play_match,
+    round_branches,
+    simulate_script,
+)
 from lvcops.families import generate, parse_recipe
 from lvcops.graphs import Graph, bits, is_copwin
 from lvcops.solver import (
@@ -17,9 +26,9 @@ from lvcops.solver import (
     ChainViolation,
     Profile,
     SolvedCops,
+    SolvedRobber,
     Winner,
     cop_number,
-    extract_policies,
     profile,
     search_witness,
     solve,
@@ -144,6 +153,9 @@ def test_budget_inconclusive_deterministic():
     assert outs[0].wave_sizes == outs[1].wave_sizes
     with pytest.raises(BudgetExceeded):
         cop_number(g, 1, budget=40)
+    for policy in (SolvedCops, SolvedRobber):
+        with pytest.raises(ValueError):
+            policy(outs[0])  # nothing to replay from a budget stop
 
 
 def test_worker_count_invariance():
@@ -272,6 +284,72 @@ def _open_loop_depth(g, k, ell):
     return None
 
 
+def _sighted_depth(g, k, ell, see):
+    """Depth of the capture game (see=False) or the seeing game at radius
+    ell by a least-fixpoint search over (sorted cops, information set), with
+    the cops to move.  The information set is the set of evader vertices
+    consistent with every observation so far; an observation splits it into
+    the unseen rest plus, unless a sighting ends the game, one singleton per
+    seen vertex.  A sighted evader is just a singleton.  None when the
+    evader wins."""
+    step = _near(g, 1)
+    ball = _near(g, ell)
+
+    def observe(cand, cops):
+        w = frozenset().union(*(ball[c] for c in cops))
+        out = set() if see else {frozenset([v]) for v in cand & w}
+        if cand - w:
+            out.add(cand - w)
+        return out
+
+    def actions(c, info):
+        """Per cop move, the states after one full round (empty: a win)."""
+        for c2 in _cop_steps(step, c):
+            occupied = set(c2)
+            after = set()
+            for s in observe(info - occupied, c2):
+                moved = frozenset(x for v in s for x in step[v]) - occupied
+                after |= observe(moved, c2)
+            yield [(c2, t) for t in after]
+
+    roots = {
+        p: [(p, s) for s in observe(frozenset(range(g.n)) - set(p), p)]
+        for p in itertools.combinations_with_replacement(range(g.n), k)
+    }
+    moves = {}
+    todo = [s for rs in roots.values() for s in rs]
+    while todo:
+        state = todo.pop()
+        if state not in moves:
+            moves[state] = list(actions(*state))
+            todo.extend(t for act in moves[state] for t in act)
+    wave_of = {}
+    wave = 0
+    while True:
+        wave += 1
+        new = [
+            s for s, acts in moves.items()
+            if s not in wave_of and any(all(t in wave_of for t in act) for act in acts)
+        ]
+        if not new:
+            break
+        wave_of.update(dict.fromkeys(new, wave))
+    depths = [
+        max((wave_of[s] for s in rs), default=0)
+        for rs in roots.values()
+        if all(s in wave_of for s in rs)
+    ]
+    return min(depths, default=None)
+
+
+def _match_walks(g, walks, cops):
+    """Extend per-cop walks by one step to the sorted tuple cops."""
+    for dest in itertools.permutations(cops):
+        if all(g.dist[w[-1]][v] <= 1 for w, v in zip(walks, dest)):
+            return [w + [v] for w, v in zip(walks, dest)]
+    raise AssertionError(f"no per-cop step to {cops}")
+
+
 def _depth(g, ell, k, variant):
     out = solve(g, GameSpec(ell, k, variant))
     assert out.winner is not Winner.INCONCLUSIVE
@@ -321,12 +399,53 @@ def test_classical_matches_explicit_search():
     assert outcomes == {True, False}
 
 
+def test_sighted_games_match_information_set_search():
+    # at radius >= 1 a sighting is not a capture, so the cops learn and the
+    # open-loop search no longer applies
+    outcomes = set()
+    for g in _oracle_graphs():
+        for k in (1, 2):
+            for ell in (1, 2):
+                for variant in (Variant.CAPTURE, Variant.SEE):
+                    depth = _depth(g, ell, k, variant)
+                    want = _sighted_depth(g, k, ell, variant is Variant.SEE)
+                    assert depth == want, (g.edges, k, ell, variant)
+                    outcomes.add(depth is not None)
+    assert outcomes == {True, False}
+
+
+def test_solved_seeing_policies_match_simulate_script():
+    # a seeing policy learns nothing before it wins, so following it along
+    # the one unseen branch gives a script; its worst-case simulation must
+    # guarantee a sighting at exactly the solved depth
+    depths = set()
+    for g in _oracle_graphs():
+        for k in (1, 2):
+            for ell in (1, 2):
+                spec = GameSpec(ell, k, Variant.SEE)
+                out = solve(g, spec)
+                if out.winner is not Winner.COPS:
+                    continue
+                cops = SolvedCops(out)
+                walks = [[v] for v in out.placement]
+                states = initial_branches(g, spec, out.placement)
+                for _ in range(out.depth):
+                    (state,) = states
+                    act = cops.move(g, spec, state)
+                    walks = _match_walks(g, walks, act)
+                    states = round_branches(g, spec, state, act)
+                assert states == ()
+                script = Script(tuple(tuple(w) for w in walks))
+                assert simulate_script(g, spec, script).seen_guaranteed_at == out.depth
+                depths.add(out.depth)
+    assert depths == {0, 1, 2, 3}
+
+
 def test_policy_captures_against_solver_robber():
     g = cycle(4)
     out = solve(g, GameSpec(1, 2))
     assert out.winner is Winner.COPS
-    cop_pol, rob_pol = extract_policies(out)
-    tr = play_match(g, GameSpec(1, 2), cop_pol, rob_pol, max_rounds=50)
+    tr = play_match(g, GameSpec(1, 2), SolvedCops(out), SolvedRobber(out), max_rounds=50)
     assert tr.outcome is Outcome.CAPTURED
     assert tr.rounds <= out.depth + g.n  # belief-level bound, loose
 
@@ -338,8 +457,9 @@ def test_policy_depth_bound_random():
         ell = rng.randrange(0, 2)
         k = cop_number(g, ell)
         out = solve(g, GameSpec(ell, k))
-        cop_pol, rob_pol = extract_policies(out)
-        tr = play_match(g, GameSpec(ell, k), cop_pol, rob_pol, max_rounds=out.depth + 5)
+        tr = play_match(
+            g, GameSpec(ell, k), SolvedCops(out), SolvedRobber(out), max_rounds=out.depth + 5
+        )
         assert tr.outcome is Outcome.CAPTURED
         assert tr.rounds <= out.depth
 
@@ -350,7 +470,7 @@ def test_robber_policy_survives_scripted_cop_on_c4():
     g = cycle(4)
     out = solve(g, GameSpec(1, 1))
     assert out.winner is Winner.ROBBER
-    rob = out.robber_policy()
+    rob = SolvedRobber(out)
     rng = random.Random(13)
     for trial in range(12):
         walk = [rng.randrange(4)]
