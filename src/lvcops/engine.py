@@ -165,9 +165,10 @@ def _match_step(g: Graph, old, new) -> list[int]:
 
 
 class _Ctx:
-    """Per-solve caches: legal move tuples and visibility masks per cop tuple."""
+    """Per-solve caches: legal move tuples and visibility masks per cop
+    tuple, and grow() of each unseen territory (grown)."""
 
-    __slots__ = ("g", "see", "mono", "delayed", "adjc", "_moves", "_balls")
+    __slots__ = ("g", "see", "mono", "delayed", "adjc", "grown", "_moves", "_balls")
 
     def __init__(self, g: Graph, spec: GameSpec) -> None:
         self.g = g
@@ -175,6 +176,7 @@ class _Ctx:
         self.mono = spec.monotone
         self.delayed = spec.delayed
         self.adjc = g.adj_closed
+        self.grown: dict[VertexSet, VertexSet] = {}
         self._moves: dict[tuple, tuple] = {}
         self._balls = g.balls(spec.ell)
 
@@ -234,79 +236,89 @@ def _expand(ctx: _Ctx, key: Key, moves) -> list[tuple[tuple[int, ...], tuple[Key
     ((action, occupancy mask, visibility mask) triples, as ctx.moves
     gives them).
 
-    Returns (action, successor keys) per legal action, deduplicated by
-    successor set, first-encountered action kept.  An empty successor
-    tuple means the action wins on the spot (every branch terminal).
-    Monotonicity-violating actions are omitted entirely.
+    Returns one (action, successor keys) row per legal action, in the order
+    of moves, with the successor keys sorted.  There is no dedupe by
+    successor set: every successor carries its action as its cops, so only
+    empty rows can repeat.  An empty successor tuple means the action wins
+    on the spot (every branch terminal).  Monotonicity-violating actions
+    are omitted entirely.
+
+    Works on whole masks per action.  A ball holds its centre, so the
+    occupancy mask lies inside the visibility mask: bm & ~am is where a
+    sighted evader may stand and ~bm is out of sight.
     """
     cops, tag, payload, snap = key
-    g = ctx.g
     adjc = ctx.adjc
     out: list[tuple[tuple[int, ...], tuple[Key, ...]]] = []
-    seen_sets: set[tuple[Key, ...]] = set()
 
     if tag == DEL:
-        B = payload
         for a, am, _bm in moves:
-            surv = B & ~am
-            if surv == 0:
-                succs: tuple[Key, ...] = ()
-            else:
-                ss = {(a, DEL, adjc[v] & ~am, SNAP_FREE) for v in bits(surv)}
-                succs = tuple(sorted(ss))
-            if succs not in seen_sets:
-                seen_sets.add(succs)
-                out.append((a, succs))
+            surv = payload & ~am
+            succ = set()
+            while surv:
+                low = surv & -surv
+                succ.add(adjc[low.bit_length() - 1] & ~am)
+                surv ^= low
+            out.append((a, tuple([(a, DEL, m, SNAP_FREE) for m in sorted(succ)])))
         return out
 
+    see = ctx.see
     if tag == VIS:
         r = payload
+        step = adjc[r]
         for a, am, bm in moves:
             if (am >> r) & 1:
-                succs = ()
-            else:
-                choices = adjc[r] & ~am
-                ss = set()
-                if not ctx.see:
-                    for w in bits(choices & bm):
-                        ss.add((a, VIS, w, SNAP_FREE))
-                esc = choices & ~bm
-                if esc:
-                    ss.add((a, INV, esc, SNAP_FREE))
-                succs = tuple(sorted(ss))
-            if succs not in seen_sets:
-                seen_sets.add(succs)
-                out.append((a, succs))
+                out.append((a, ()))
+                continue
+            esc = step & ~bm
+            row = [(a, INV, esc, SNAP_FREE)] if esc else []
+            if not see:
+                vis = step & bm & ~am
+                while vis:
+                    low = vis & -vis
+                    row.append((a, VIS, low.bit_length() - 1, SNAP_FREE))
+                    vis ^= low
+            out.append((a, tuple(row)))
         return out
 
-    T = payload
+    mono = ctx.mono
+    # the monotone baseline: an unseen vertex outside the snapshot is illegal
+    outside = ~snap if mono else 0
+    grown_of = ctx.grown
+    grow = ctx.g.grow
     for a, am, bm in moves:
-        rest = T & ~am
-        unseen = rest & ~bm
-        if ctx.mono and snap != SNAP_FREE and unseen & ~snap:
+        unseen = payload & ~bm
+        if unseen & outside:
             continue
-        nsnap = unseen if ctx.mono else SNAP_FREE
-        ss = set()
-        if not ctx.see:
-            for v in bits(rest & bm):
-                ch = adjc[v] & ~am
-                for w in bits(ch & bm):
-                    ss.add((a, VIS, w, SNAP_FREE))
-                esc = ch & ~bm
+        vis = 0
+        row = []  # the INV successors first; they share a, so sort by payload
+        if not see:
+            seen_now = payload & bm & ~am
+            while seen_now:
+                low = seen_now & -seen_now
+                step = adjc[low.bit_length() - 1]
+                vis |= step
+                esc = step & ~bm
                 if esc:
-                    ss.add((a, INV, esc, SNAP_FREE))
+                    row.append((a, INV, esc, SNAP_FREE))
+                seen_now ^= low
         if unseen:
-            grown = g.grow(unseen) & ~am
-            if not ctx.see:
-                for w in bits(grown & bm):
-                    ss.add((a, VIS, w, SNAP_FREE))
+            grown = grown_of.get(unseen)
+            if grown is None:
+                grown = grown_of[unseen] = grow(unseen)
+            vis |= grown
             u2 = grown & ~bm
             if u2:
-                ss.add((a, INV, u2, nsnap))
-        succs = tuple(sorted(ss))
-        if succs not in seen_sets:
-            seen_sets.add(succs)
-            out.append((a, succs))
+                row.append((a, INV, u2, unseen if mono else SNAP_FREE))
+        if len(row) > 1:
+            row = sorted(set(row))
+        if not see:
+            vis &= bm & ~am
+            while vis:
+                low = vis & -vis
+                row.append((a, VIS, low.bit_length() - 1, SNAP_FREE))
+                vis ^= low
+        out.append((a, tuple(row)))
     return out
 
 

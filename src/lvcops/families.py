@@ -323,7 +323,44 @@ def random_copwin_graph(n: int, seed: int, spread: int = 2) -> Graph:
 # -- recipe dispatch -------------------------------------------------------------------
 
 
+# the largest order a recipe may build, checked before building: the
+# recursive families grow geometrically (tfamily:k=12,ell=1 has 1,062,877
+# vertices), and nothing here is exact at even a fraction of this
+MAX_ORDER = 256
+
+
+def _order(recipe: FamilyRecipe) -> int:
+    """The order of the graph recipe builds, or some number above MAX_ORDER
+    when it is larger.  Negative sizes count as 0; the generators reject them."""
+
+    def get(key: str) -> int:
+        return max(recipe.get(key), 0)
+
+    k = recipe.kind
+    if k is FamilyKind.COMPLETE_BIPARTITE:
+        return get("m") + get("n")
+    if k is FamilyKind.SPIDER:
+        return 1 + get("legs") * get("length")
+    if k is FamilyKind.T_FAMILY:
+        # rank k joins three rank k-1 members by paths of 2*ell+1 new vertices
+        n = 1
+        for _ in range(1, get("k")):
+            n = 3 * (n + 2 * get("ell") + 1) + 1
+            if n > MAX_ORDER:
+                break
+        return n
+    if k is FamilyKind.SUBDIVIDED_BINARY:
+        # depth 16 is already far over the limit; a larger one costs nothing
+        nodes = 2 ** (min(get("depth"), 16) + 1) - 1
+        return nodes + (nodes - 1) * get("subdivisions")
+    return get("n")
+
+
 def generate(recipe: FamilyRecipe) -> GeneratedGraph:
+    if _order(recipe) > MAX_ORDER:
+        raise ValueError(
+            f"recipe {recipe_to_str(recipe)} builds more than {MAX_ORDER} vertices"
+        )
     k = recipe.kind
     if k is FamilyKind.PATH:
         return GeneratedGraph(path_graph(recipe.get("n")), recipe)

@@ -427,17 +427,26 @@ def load(text: str) -> Graph:
         ):
             raise ValueError('expected a JSON object {"n": <int>, "edges": [[<int>, <int>], ...]}')
         return Graph(n, [tuple(e) for e in edges])
-    lines = [ln for ln in stripped.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [
+        (no, ln.split())
+        for no, ln in enumerate(text.splitlines(), 1)
+        if ln.strip() and not ln.lstrip().startswith("#")
+    ]
     if not lines:
         raise ValueError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("expected 'n m' header")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(lines[0], "n m")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Graph(n, edges)
+    return Graph(n, [_int_pair(line, "u v") for line in lines[1:]])
+
+
+def _int_pair(line: tuple[int, list[str]], form: str) -> tuple[int, int]:
+    """The two integer fields of a numbered text line, or a ValueError
+    naming the line and the expected form."""
+    no, fields = line
+    if len(fields) == 2:
+        try:
+            return int(fields[0]), int(fields[1])
+        except ValueError:
+            pass
+    raise ValueError(f"line {no}: expected '{form}', got {' '.join(fields)!r}")

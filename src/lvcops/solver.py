@@ -178,21 +178,35 @@ def solve(
 
     # States are interned in discovery order and expanded in index order:
     # each wave is the run of indices interned while expanding the last.
+    moves = ctx.moves
+    get = index.get
     lo, hi = 0, len(keys)
     while lo < hi:
         wave_sizes.append(hi - lo)
         for i in range(lo, hi):
-            win = None
-            rows = []
             key = keys[i]
-            for a, succ_keys in _expand(ctx, key, ctx.moves(key[0])):
+            rows = _expand(ctx, key, moves(key[0]))
+            win = None
+            for a, succ_keys in rows:
                 if not succ_keys:
-                    if win is None:
-                        win = a
+                    win = a
+                    break
+            chosen.append(win)
+            if win is not None:
+                # won at wave 1 whatever its other actions do; their
+                # successors are still interned, so the interning order
+                # does not depend on which states win
+                seeds.append(i)
+            for a, succ_keys in rows:
+                if not succ_keys:
                     continue
-                row = []
+                if win is None:
+                    slot = len(remaining)
+                    remaining.append(len(succ_keys))
+                    slot_state.append(i)
+                    slot_action.append(a)
                 for sk in succ_keys:
-                    j = index.get(sk)
+                    j = get(sk)
                     if j is None:
                         j = len(keys)
                         if j >= budget:
@@ -200,20 +214,8 @@ def solve(
                         index[sk] = j
                         keys.append(sk)
                         preds.append([])
-                    row.append(j)
-                rows.append((a, row))
-            chosen.append(win)
-            if win is not None:
-                # won at wave 1 whatever its other actions do
-                seeds.append(i)
-                continue
-            for a, row in rows:
-                slot = len(remaining)
-                remaining.append(len(row))
-                slot_state.append(i)
-                slot_action.append(a)
-                for j in row:
-                    preds[j].append(slot)
+                    if win is None:
+                        preds[j].append(slot)
         lo, hi = hi, len(keys)
 
     n_states = len(keys)

@@ -291,6 +291,15 @@ def test_bad_recipe_parameter_exits_one(capsys, recipe, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
+# text-form graph files, each with the error line it must give
+_BAD_TEXT_GRAPHS = {
+    "3 2\n0 1\n1 2 0": "error: line 3: expected 'u v', got '1 2 0'",
+    "# comment\n3 2\n0 1\n\n1": "error: line 5: expected 'u v', got '1'",
+    "3 2\n0 1\n1 x": "error: line 3: expected 'u v', got '1 x'",
+    "3 x\n0 1\n1 2": "error: line 1: expected 'n m', got '3 x'",
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -302,6 +311,7 @@ def test_bad_recipe_parameter_exits_one(capsys, recipe, message):
         '{"n": 3, "edges": [[0, 1.5]]}',
         '{"n": 2.9, "edges": [[0, 1]]}',
         '{"n": true, "edges": []}',
+        *_BAD_TEXT_GRAPHS,
     ],
 )
 def test_malformed_graph_file_exits_one(capsys, tmp_path, text):
@@ -311,7 +321,19 @@ def test_malformed_graph_file_exits_one(capsys, tmp_path, text):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert "Traceback" not in err and '"n": <int>' in err
+    assert "Traceback" not in err
+    if text in _BAD_TEXT_GRAPHS:
+        assert err.strip() == _BAD_TEXT_GRAPHS[text]
+    else:
+        assert '"n": <int>' in err
+
+
+def test_oversized_recipe_exits_one(capsys):
+    # refused from the parameters alone, before anything is built
+    code, out, err = run(capsys, ["solve", "--recipe", "tfamily:k=12,ell=1", "--ell", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: recipe tfamily:ell=1,k=12 builds more than 256 vertices"]
 
 
 def test_missing_required_flag_exits_one(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from lvcops.families import (
+    MAX_ORDER,
     FamilyKind,
     FamilyRecipe,
     complete_bipartite_graph,
@@ -159,3 +160,24 @@ def test_generation_reproducible():
     b = generate(parse_recipe("randomchordal:9,5"))
     assert a.graph.edges == b.graph.edges
     assert t_family(3, 1).graph.edges == t_family(3, 1).graph.edges
+
+
+@pytest.mark.parametrize(
+    "recipe, n",
+    [("path:256", 256), ("tfamily:k=4,ell=1", 157), ("tfamily:k=5,ell=0", 241),
+     ("subdivided:7,0", 255), ("spider:5,51", 256), ("biclique:2,254", 256),
+     ("randomtree:n=256,seed=1", 256)],
+)
+def test_recipe_order_cap_admits_the_limit(recipe, n):
+    assert MAX_ORDER == 256
+    assert generate(parse_recipe(recipe)).graph.n == n
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    ["path:257", "tfamily:k=5,ell=1", "tfamily:k=1000000000,ell=1", "subdivided:8,0",
+     "subdivided:1000000000,1", "spider:5,52", "biclique:128,129", "randomchordal:n=300,seed=1"],
+)
+def test_recipe_order_cap_refuses_larger(recipe):
+    with pytest.raises(ValueError, match=f"builds more than {MAX_ORDER} vertices"):
+        generate(parse_recipe(recipe))

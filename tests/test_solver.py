@@ -10,10 +10,16 @@ import random
 import pytest
 
 from lvcops.engine import (
+    DEL,
+    INV,
+    SNAP_FREE,
+    VIS,
     GameSpec,
     Outcome,
     Script,
     Variant,
+    _Ctx,
+    _expand,
     initial_branches,
     play_match,
     round_branches,
@@ -185,12 +191,26 @@ def test_worker_count_invariance():
             "cycle:9", GameSpec(1, 2), 460,
             (Winner.INCONCLUSIVE, 460, (180, 180, 90), None), None,
         ),
+        (
+            "subdivided:2,1", GameSpec(1, 2, Variant.SEE), 1_000_000,
+            (Winner.COPS, 1277, (91, 67, 160, 309, 328, 74, 24, 16, 4, 12, 24, 58, 110), 4),
+            "34592bfa53646929",
+        ),
+        (
+            "randomtree:n=12,seed=4", GameSpec(1, 2, Variant.TIME_DELAYED), 1_000_000,
+            (Winner.COPS, 836, (78, 758), 4), "0dff388ab967241b",
+        ),
+        (
+            "randomtree:n=12,seed=4", GameSpec(2, 2), 1_000_000,
+            (Winner.COPS, 946, (516, 275, 102, 29, 24), 4), "edf3a8fb01234832",
+        ),
     ],
 )
 def test_pinned_solves(recipe, spec, budget, expected, policy_digest):
-    # values recorded from the solver before its core was rewritten; state
-    # counts, wave sizes, budget stops and the first-completing actions
-    # must not move under a speed-up
+    # values recorded from the solver before its core was rewritten (the
+    # see, time-delayed and radius-2 rows before the mask-algebra kernel);
+    # state counts, wave sizes, budget stops and the first-completing
+    # actions must not move under a speed-up
     g = generate(parse_recipe(recipe)).graph
     out = solve(g, spec, budget=budget)
     assert (out.winner, out.states, out.wave_sizes, out.depth) == expected
@@ -439,6 +459,61 @@ def test_solved_seeing_policies_match_simulate_script():
                 assert simulate_script(g, spec, script).seen_guaranteed_at == out.depth
                 depths.add(out.depth)
     assert depths == {0, 1, 2, 3}
+
+
+# -- the kernel's rows, judged by the rules ----------------------------------------
+# The kernel is called here, but judged only with the oracles' g.dist sets.
+
+
+def test_kernel_rows_obey_the_rules():
+    # every row of every expanded state: one row per legal action (a cop
+    # step that keeps the monotone baseline), and each successor a place
+    # the evader can reach that the cops' information allows
+    expanded = 0
+    for g in _oracle_graphs():
+        step = _near(g, 1)
+        specs = {
+            GameSpec(ell, k, variant).resolve(g)
+            for variant in Variant
+            for ell in (0, 1, 2)
+            for k in (1, 2)
+        }
+        for spec in sorted(specs, key=repr):
+            near = _near(g, spec.ell)
+            out = solve(g, spec)
+            assert out.winner is not Winner.INCONCLUSIVE
+            ctx = _Ctx(g, spec)
+            for key in out.index:
+                cops, tag, payload, snap = key
+                cand = {payload} if tag == VIS else set(bits(payload))
+                legal = set()
+                for a in _cop_steps(step, cops):
+                    sighted = set().union(*(near[c] for c in a))
+                    unseen = cand - set(a) - sighted
+                    if tag == INV and snap != SNAP_FREE and unseen - set(bits(snap)):
+                        continue  # the unseen territory would grow
+                    legal.add(a)
+                rows = _expand(ctx, key, ctx.moves(cops))
+                assert sorted(a for a, _ in rows) == sorted(legal), key
+                filled = [succs for _, succs in rows if succs]
+                assert len(set(filled)) == len(filled), key
+                for a, succs in rows:
+                    on = set(a)
+                    sighted = set().union(*(near[c] for c in a))
+                    reach = set().union(*(step[v] for v in cand - on)) - on
+                    for cops2, tag2, p2, _ in succs:
+                        assert cops2 == a, (key, a)
+                        vs = {p2} if tag2 == VIS else set(bits(p2))
+                        assert vs and vs <= reach, (key, a)
+                        if spec.delayed:
+                            assert tag2 == DEL, (key, a)
+                        elif tag2 == INV:
+                            assert not vs & sighted, (key, a)
+                        else:
+                            assert tag2 == VIS and not spec.see_goal, (key, a)
+                            assert p2 in sighted, (key, a)
+                expanded += 1
+    assert expanded > 10_000
 
 
 def test_policy_captures_against_solver_robber():
