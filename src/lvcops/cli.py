@@ -45,7 +45,6 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    domination_number,
     dump_text,
     is_chordal,
     is_copwin,
@@ -215,8 +214,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g, _ = _graph_from_args(args)
-    radii = args.ell or [1]
+    radii = sorted(set(args.ell or [1]))
     met = metrics(g)
+    dom = {r: k_domination_number(g, r) for r in sorted({1, *radii})}
     results = {
         "n": g.n,
         "m": len(g.edges),
@@ -226,8 +226,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "is_tree": len(g.edges) == g.n - 1,
         "is_chordal": is_chordal(g),
         "is_copwin": is_copwin(g),
-        "domination": domination_number(g),
-        "ball_domination": {str(r): k_domination_number(g, r) for r in sorted(set(radii))},
+        "domination": dom[1],
+        "ball_domination": {str(r): dom[r] for r in radii},
     }
     lines = [
         f"graph {g.key()}  n={g.n} m={len(g.edges)}",

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graphs import Graph
+from .graphs import MAX_ORDER, Graph
 
 
 class FamilyKind(Enum):
@@ -323,15 +323,11 @@ def random_copwin_graph(n: int, seed: int, spread: int = 2) -> Graph:
 # -- recipe dispatch -------------------------------------------------------------------
 
 
-# the largest order a recipe may build, checked before building: the
-# recursive families grow geometrically (tfamily:k=12,ell=1 has 1,062,877
-# vertices), and nothing here is exact at even a fraction of this
-MAX_ORDER = 256
-
-
 def _order(recipe: FamilyRecipe) -> int:
     """The order of the graph recipe builds, or some number above MAX_ORDER
-    when it is larger.  Negative sizes count as 0; the generators reject them."""
+    when it is larger: the recursive families grow geometrically
+    (tfamily:k=12,ell=1 has 1,062,877 vertices), so this is checked before
+    building.  Negative sizes count as 0; the generators reject them."""
 
     def get(key: str) -> int:
         return max(recipe.get(key), 0)

@@ -20,6 +20,11 @@ INF = 1 << 30
 
 VertexSet = int  # bitmask alias, bit i set <=> vertex i in the set
 
+# the largest order a graph file or recipe may have, checked before building:
+# a Graph holds an n x n distance table, and nothing here is exact at even a
+# fraction of this
+MAX_ORDER = 256
+
 
 def bits(mask: VertexSet):
     """Yield set bits of a mask in increasing order."""
@@ -88,19 +93,23 @@ class Graph:
         self._hash: str | None = None
 
     def _bfs(self, src: int) -> tuple[int, ...]:
+        """Distances from src, one frontier level at a time: the next level
+        is the union of the frontier's neighbourhoods minus the vertices
+        already reached."""
+        adj = self.adj
         d = [INF] * self.n
         d[src] = 0
-        frontier = [src]
+        seen = frontier = 1 << src
         level = 0
         while frontier:
             level += 1
-            nxt = []
-            for u in frontier:
-                for w in bits(self.adj[u]):
-                    if d[w] == INF:
-                        d[w] = level
-                        nxt.append(w)
-            frontier = nxt
+            reach = 0
+            for u in bits(frontier):
+                reach |= adj[u]
+            frontier = reach & ~seen
+            seen |= frontier
+            for w in bits(frontier):
+                d[w] = level
         return tuple(d)
 
     # -- vertex set helpers --------------------------------------------------
@@ -308,9 +317,14 @@ def is_copwin(g: Graph) -> bool:
 def k_domination_number(g: Graph, r: int) -> int:
     """Minimum size of a set whose radius-r closed balls cover the graph.
 
-    Exact branch and bound: greedy cover for the upper bound, a packing
-    quotient for the lower bound, branching over the coverers of the
-    hardest uncovered vertex.  Deterministic.
+    Exact branch and bound: greedy cover for the upper bound; for the lower
+    bound the larger of a quotient (uncovered count over the widest reach)
+    and a packing (uncovered vertices with pairwise disjoint balls, each of
+    which needs a centre of its own).  It branches over the coverers of the
+    hardest uncovered vertex, which by symmetry of distance are its own
+    ball, and drops a coverer whose new coverage lies inside that of an
+    earlier kept one: swapping it for that one keeps any cover a cover.
+    Deterministic.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
@@ -318,10 +332,7 @@ def k_domination_number(g: Graph, r: int) -> int:
     full = g.full
     if max(ball, default=0) == full:
         return 1
-    coverers = [[] for _ in range(g.n)]
-    for v in range(g.n):
-        for w in bits(ball[v]):
-            coverers[w].append(v)
+    reach = [b.bit_count() for b in ball]
 
     best = 0
     m = 0
@@ -336,11 +347,23 @@ def k_domination_number(g: Graph, r: int) -> int:
             best = size
             return
         rest = full & ~covered
-        widest = max((ball[v] & rest).bit_count() for v in range(g.n))
+        widest = max((b & rest).bit_count() for b in ball)
         if size + -(-rest.bit_count() // widest) >= best:
             return
-        u = min(bits(rest), key=lambda w: (len(coverers[w]), w))
-        for v in sorted(coverers[u], key=lambda v: (-(ball[v] & rest).bit_count(), v)):
+        uncovered = sorted(bits(rest), key=lambda w: (reach[w], w))
+        packed = taken = 0
+        for w in uncovered:
+            if not ball[w] & taken:
+                taken |= ball[w]
+                packed += 1
+        if size + packed >= best:
+            return
+        kept: list[int] = []
+        for v in sorted(bits(ball[uncovered[0]]), key=lambda v: (-(ball[v] & rest).bit_count(), v)):
+            gain = ball[v] & rest
+            if any(not gain & ~k for k in kept):
+                continue
+            kept.append(gain)
             search(covered | ball[v], size + 1)
 
     search(0, 0)
@@ -426,6 +449,7 @@ def load(text: str) -> Graph:
             and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges)
         ):
             raise ValueError('expected a JSON object {"n": <int>, "edges": [[<int>, <int>], ...]}')
+        _check_order(n)
         return Graph(n, [tuple(e) for e in edges])
     lines = [
         (no, ln.split())
@@ -435,9 +459,15 @@ def load(text: str) -> Graph:
     if not lines:
         raise ValueError("empty graph text")
     n, m = _int_pair(lines[0], "n m")
+    _check_order(n)
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
     return Graph(n, [_int_pair(line, "u v") for line in lines[1:]])
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:
+        raise ValueError(f"graph has {n} vertices, more than {MAX_ORDER}")
 
 
 def _int_pair(line: tuple[int, list[str]], form: str) -> tuple[int, int]:

@@ -394,8 +394,6 @@ def profile(
         blind = cop_number(g, 0, Variant.CAPTURE, **kw)
     if "delayed" in parts:
         delayed = cop_number(g, 0, Variant.TIME_DELAYED, **kw)
-    if "domination" in parts:
-        domination = k_domination_number(g, 1)
     if "capture" in parts:
         capture_at = {r: cop_number(g, r, Variant.CAPTURE, **kw) for r in radii}
     if "see" in parts:
@@ -404,6 +402,8 @@ def profile(
         monotone_at = {r: cop_number(g, r, Variant.MONOTONE_CAPTURE, **kw) for r in radii}
     if "see" in parts or "domination" in parts:
         domination_at = {r: k_domination_number(g, r) for r in radii}
+    if "domination" in parts:
+        domination = domination_at[1] if 1 in radii else k_domination_number(g, 1)
     return Profile(
         graph_key=g.key(),
         n=g.n,

@@ -244,6 +244,28 @@ def test_solve_number_solves_final_count_once(capsys, monkeypatch):
     assert specs == [("capture", 1, 1), ("capture", 1, 2)]
 
 
+def test_domination_solves_each_radius_once(capsys, monkeypatch):
+    from lvcops import cli, graphs
+
+    radii = []
+    real = graphs.k_domination_number
+
+    def counting(g, r):
+        radii.append(r)
+        return real(g, r)
+
+    monkeypatch.setattr(cli, "k_domination_number", counting)
+    monkeypatch.setattr(graphs, "k_domination_number", counting)
+    code, env = run_json(capsys, ["analyze", "--recipe", "path:7", "--ell", "1", "--ell", "2"])
+    assert code == 0 and env["results"]["ball_domination"] == {"1": 3, "2": 2}
+    assert sorted(radii) == [1, 2]
+    radii.clear()
+    argv = ["profile", "--recipe", "path:7", "--ell", "1", "--ell", "2", "--parts", "domination"]
+    code, env = run_json(capsys, argv)
+    assert code == 0 and env["results"]["domination"] == 3
+    assert sorted(radii) == [1, 2]
+
+
 # -- exit codes ------------------------------------------------------------------------
 
 
@@ -291,12 +313,15 @@ def test_bad_recipe_parameter_exits_one(capsys, recipe, message):
     assert err.splitlines() == [f"error: {message}"]
 
 
-# text-form graph files, each with the error line it must give
+# graph files, each with the error line it must give
 _BAD_TEXT_GRAPHS = {
     "3 2\n0 1\n1 2 0": "error: line 3: expected 'u v', got '1 2 0'",
     "# comment\n3 2\n0 1\n\n1": "error: line 5: expected 'u v', got '1'",
     "3 2\n0 1\n1 x": "error: line 3: expected 'u v', got '1 x'",
     "3 x\n0 1\n1 2": "error: line 1: expected 'n m', got '3 x'",
+    # over the order cap: refused before the n x n distance table is built
+    "257 0": "error: graph has 257 vertices, more than 256",
+    '{"n": 257, "edges": []}': "error: graph has 257 vertices, more than 256",
 }
 
 

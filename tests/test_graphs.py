@@ -8,6 +8,7 @@ import pytest
 
 from lvcops.graphs import (
     INF,
+    MAX_ORDER,
     Graph,
     OrderingKind,
     bits,
@@ -83,6 +84,34 @@ def test_distance_inf_when_disconnected():
     assert g.dist[0][2] == INF
     assert not g.is_connected()
     assert len(g.components()) == 2
+
+
+def test_distances_match_adjacency_list_bfs():
+    # plain queue BFS over adjacency lists, on graphs of every density,
+    # disconnected ones included
+    from collections import deque
+
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randrange(1, 40)
+        p = rng.choice((0.0, 0.05, 0.15, 0.5, 1.0))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = Graph(n, edges)
+        nbrs = [[] for _ in range(n)]
+        for u, v in edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for s in range(n):
+            want = [INF] * n
+            want[s] = 0
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for w in nbrs[u]:
+                    if want[w] == INF:
+                        want[w] = want[u] + 1
+                        queue.append(w)
+            assert list(g.dist[s]) == want, (n, edges, s)
 
 
 def test_grow_cycle():
@@ -280,9 +309,9 @@ def test_domination_brute_agreement():
     from itertools import combinations
 
     rng = random.Random(3)
-    for _ in range(15):
-        g = random_connected(rng, rng.randrange(2, 9), rng.randrange(0, 5))
-        r = rng.randrange(0, 3)
+    for _ in range(100):
+        g = random_connected(rng, rng.randrange(2, 10), rng.randrange(0, 8))
+        r = rng.randrange(0, 4)
         ball = g.balls(r)
         best = g.n
         for size in range(1, g.n + 1):
@@ -297,7 +326,42 @@ def test_domination_brute_agreement():
                     break
             if done:
                 break
-        assert k_domination_number(g, r) == best
+        assert k_domination_number(g, r) == best, (g.n, g.edges, r)
+
+
+def slater_tree_domination(g: Graph, r: int) -> int:
+    """Slater's greedy for radius-r domination of a tree: root it, take the
+    deepest vertex not yet covered, put a centre at its r-th ancestor (or at
+    the root), and repeat."""
+    depth = g.dist[0]
+    parent = [0] * g.n
+    for v in range(1, g.n):
+        parent[v] = next(u for u in bits(g.adj[v]) if depth[u] == depth[v] - 1)
+    covered = [False] * g.n
+    centres = 0
+    for v in sorted(range(g.n), key=lambda v: -depth[v]):
+        if covered[v]:
+            continue
+        c = v
+        for _ in range(r):
+            c = parent[c]
+        centres += 1
+        for w in range(g.n):
+            if g.dist[c][w] <= r:
+                covered[w] = True
+    return centres
+
+
+def test_tree_domination_matches_greedy():
+    # bushy trees (uniform parent) and stringy ones (parent among the last
+    # few vertices), up to the order cap
+    rng = random.Random(31)
+    for i in range(45):
+        n = rng.randrange(2, 257)
+        span = n if i % 2 else 4
+        g = Graph(n, [(v, rng.randrange(max(0, v - span), v)) for v in range(1, n)])
+        for r in (1, 2, 3):
+            assert k_domination_number(g, r) == slater_tree_domination(g, r), (n, g.edges, r)
 
 
 def test_domination_scales_past_subset_enumeration():
@@ -385,6 +449,11 @@ def test_json_roundtrip():
     g = complete_bipartite(2, 3)
     h = load(dump_json(g))
     assert (h.n, h.edges) == (g.n, g.edges)
+
+
+def test_load_accepts_the_order_cap():
+    assert load(f'{{"n": {MAX_ORDER}, "edges": []}}').n == MAX_ORDER
+    assert load(f"{MAX_ORDER} 1\n0 {MAX_ORDER - 1}\n").n == MAX_ORDER
 
 
 def test_key_stable_and_label_sensitive():
