@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -53,6 +54,7 @@ from .graphs import (
     metrics,
 )
 from .solver import (
+    ALL_PARTS,
     DEFAULT_BUDGET,
     BudgetExceeded,
     SolvedCops,
@@ -245,12 +247,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     g, _ = _graph_from_args(args)
     variant = Variant(args.variant)
-    kw = {"budget": args.budget, "workers": args.workers}
     if args.cops is None:
-        k, out = _least_winning(g, args.ell, variant, **kw)
+        k, out = _least_winning(g, args.ell, variant, budget=args.budget)
     else:
         k = args.cops
-        out = solve(g, GameSpec(args.ell, k, variant), **kw)
+        out = solve(g, GameSpec(args.ell, k, variant), budget=args.budget)
     results = dict(out.to_public_dict())
     if args.cops is None:
         results["number"] = k
@@ -268,9 +269,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     g, _ = _graph_from_args(args)
     radii = tuple(args.ell or [1])
-    parts = tuple(args.parts.split(",")) if args.parts else None
-    kw = {"budget": args.budget, "workers": args.workers}
-    prof = profile(g, radii, **kw) if parts is None else profile(g, radii, parts=parts, **kw)
+    parts = tuple(args.parts.split(",")) if args.parts else ALL_PARTS
+    prof = profile(g, radii, parts=parts, budget=args.budget)
     results = prof.as_dict()
     lines = [f"graph {g.key()}  n={g.n}"]
     for name in ("classical", "blind", "delayed", "domination"):
@@ -360,7 +360,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.cops is None:
             raise ValueError("simulate needs --cops (or --script)")
         spec = GameSpec(args.ell, args.cops, variant)
-        outcome = solve(g, spec, budget=args.budget, workers=args.workers)
+        outcome = solve(g, spec, budget=args.budget)
         if outcome.winner is Winner.INCONCLUSIVE:
             raise BudgetExceeded(f"solve stopped at {outcome.states} states")
         if outcome.winner is not Winner.COPS:
@@ -368,7 +368,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cop_policy = SolvedCops(outcome)
     if args.robber == "solved":
         if outcome is None:
-            outcome = solve(g, spec, budget=args.budget, workers=args.workers)
+            outcome = solve(g, spec, budget=args.budget)
             if outcome.winner is Winner.INCONCLUSIVE:
                 raise BudgetExceeded(f"solve stopped at {outcome.states} states")
         robber_policy = SolvedRobber(outcome)
@@ -394,18 +394,17 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     ell = args.ell
     if ell < 1:
         raise ValueError("the gap needs a positive visibility radius")
-    kw = {"budget": args.budget, "workers": args.workers}
 
     def profiler(h: Graph):
         # a dominating vertex pins the evader at radius 1, and capture
         # numbers fall as the radius grows, so no gap is possible
         if any(h.adj_closed[v] == h.full for v in range(h.n)):
             return None
-        first = profile(h, (ell,), parts=("capture",), **kw)
+        first = profile(h, (ell,), parts=("capture",), budget=args.budget)
         if first.capture_at.get(ell) != 2:
             return None
         # reuse the screen's capture number; replace() re-runs the chain check
-        rest = profile(h, (ell,), parts=("classical", "see"), **kw)
+        rest = profile(h, (ell,), parts=("classical", "see"), budget=args.budget)
         return dataclasses.replace(rest, capture_at=first.capture_at)
 
     def hit(p) -> bool:
@@ -426,7 +425,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
         candidates = stream()
         limit = args.limit
-    res = search_witness(hit, candidates, limit=limit, profiler=profiler, **kw)
+    res = search_witness(hit, candidates, limit=limit, profiler=profiler)
     found = res.graph is not None
     results = {
         "found": found,
@@ -452,7 +451,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command line parser, built on the first call and shared after
+    that: parse_args keeps its results in a fresh namespace per call."""
     parser = _Parser(prog="lvcops", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 

@@ -19,9 +19,9 @@ Layout of a solve:
      fixed discovery order and giving each (state, action) pair
      with a nonempty successor set one slot in flat arrays: its unmet
      successor count, its state and its action, plus per-state lists of
-     the slots that wait on that state.  The worker count does not change
-     this, so the discovery order, the state count, and everything derived
-     from them are identical for any worker count;
+     the slots that wait on that state.  The discovery order, the state
+     count, and everything derived from them are fixed by the graph and
+     the spec alone;
   3. propagate wins wave-synchronously over the slots.  A state's wave is
      the number of cop moves needed against the worst adversary; the
      recorded action is the first to complete, under a fixed enumeration
@@ -133,16 +133,17 @@ def solve(
     spec: GameSpec,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> SolveOutcome:
     """Decide the game at spec.cops cops; see the module docstring.
 
-    Expansion is serial.  workers is accepted for compatibility and must
-    be at least 1; it changes nothing.  Parallelism, if any, belongs over
-    independent solves, not inside one (an open ROADMAP item).
+    More cops than vertices is refused: n cops always win, and the cop
+    moves are enumerated as a product over the cops, so a large count
+    stalls before the first state is interned.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if spec.cops > g.n:
+        raise ValueError(
+            f"{spec.cops} cops on a graph of order {g.n}; at most {g.n} are ever needed"
+        )
     spec = spec.resolve(g)
     ctx = _Ctx(g, spec)
 
@@ -259,11 +260,11 @@ def solve(
 
 
 def _least_winning(
-    g: Graph, ell: int, variant: Variant, *, budget: int, workers: int = 1
+    g: Graph, ell: int, variant: Variant, *, budget: int
 ) -> tuple[int, SolveOutcome]:
     """The smallest winning cop count with its solve; see cop_number."""
     for k in range(1, g.n + 1):
-        out = solve(g, GameSpec(ell, k, variant), budget=budget, workers=workers)
+        out = solve(g, GameSpec(ell, k, variant), budget=budget)
         if out.winner is Winner.COPS:
             return k, out
         if out.winner is Winner.INCONCLUSIVE:
@@ -281,7 +282,6 @@ def cop_number(
     variant: Variant = Variant.CAPTURE,
     *,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> int:
     """Smallest cop count winning the game; iterates k = 1, 2, ...
 
@@ -289,7 +289,7 @@ def cop_number(
     so k = n always wins.  An INCONCLUSIVE solve below the answer poisons
     the iteration and raises BudgetExceeded with the partial findings.
     """
-    return _least_winning(g, ell, variant, budget=budget, workers=workers)[0]
+    return _least_winning(g, ell, variant, budget=budget)[0]
 
 
 @dataclass(frozen=True)
@@ -375,7 +375,6 @@ def profile(
     *,
     parts: Iterable[str] = ALL_PARTS,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> Profile:
     """Compute the requested game numbers and wrap them in a Profile."""
     from .graphs import k_domination_number
@@ -385,21 +384,20 @@ def profile(
     unknown = parts - set(ALL_PARTS)
     if unknown:
         raise ValueError(f"unknown profile parts {sorted(unknown)}")
-    kw = {"budget": budget, "workers": workers}
     classical = blind = delayed = domination = None
     capture_at = see_at = monotone_at = domination_at = None
     if "classical" in parts:
-        classical = cop_number(g, 0, Variant.CLASSICAL, **kw)
+        classical = cop_number(g, 0, Variant.CLASSICAL, budget=budget)
     if "blind" in parts:
-        blind = cop_number(g, 0, Variant.CAPTURE, **kw)
+        blind = cop_number(g, 0, Variant.CAPTURE, budget=budget)
     if "delayed" in parts:
-        delayed = cop_number(g, 0, Variant.TIME_DELAYED, **kw)
+        delayed = cop_number(g, 0, Variant.TIME_DELAYED, budget=budget)
     if "capture" in parts:
-        capture_at = {r: cop_number(g, r, Variant.CAPTURE, **kw) for r in radii}
+        capture_at = {r: cop_number(g, r, Variant.CAPTURE, budget=budget) for r in radii}
     if "see" in parts:
-        see_at = {r: cop_number(g, r, Variant.SEE, **kw) for r in radii}
+        see_at = {r: cop_number(g, r, Variant.SEE, budget=budget) for r in radii}
     if "monotone" in parts:
-        monotone_at = {r: cop_number(g, r, Variant.MONOTONE_CAPTURE, **kw) for r in radii}
+        monotone_at = {r: cop_number(g, r, Variant.MONOTONE_CAPTURE, budget=budget) for r in radii}
     if "see" in parts or "domination" in parts:
         domination_at = {r: k_domination_number(g, r) for r in radii}
     if "domination" in parts:
@@ -435,7 +433,6 @@ def search_witness(
     profiler: Callable[[Graph], Profile | None] | None = None,
     radii: Iterable[int] = (1,),
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> WitnessResult:
     """First candidate whose profile satisfies the predicate.
 
@@ -444,7 +441,7 @@ def search_witness(
     guessed at.  Every drawn candidate counts against the limit.
     """
     if profiler is None:
-        profiler = lambda h: profile(h, radii, budget=budget, workers=workers)
+        profiler = lambda h: profile(h, radii, budget=budget)
     tried = skipped = 0
     for g in candidates:
         if tried >= limit:

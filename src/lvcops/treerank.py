@@ -13,7 +13,10 @@ Subtrees are passed around as vertex masks.  The hanging subtree of r
 away from q is {v : dist(v, q) = dist(v, r) + dist(r, q)}, intersected
 with the current mask; the intersection matters, because a nested
 evaluation may look back toward the boundary of its region and must not
-pick up structure outside it.  Memoisation is keyed by the mask itself.
+pick up structure outside it.  In a tree that set is the side of the
+edge pr that holds r, where p is r's neighbour toward q, so rank reads
+it from edge-side masks built once per call instead of testing every
+vertex of the region.  Memoisation is keyed by the mask itself.
 
 A rank claim is witnessed by a certificate: the scoring vertex, three
 vertex-disjoint paths of exactly 2*ell + 2 edges in distinct directions,
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .graphs import Graph, VertexSet, bits, metrics
+from .graphs import Graph, VertexSet, bits, mask_of, metrics
 
 __all__ = [
     "CertificateBranch",
@@ -127,6 +130,28 @@ def _require_tree(g: Graph, ell: int) -> None:
         raise ValueError("need ell >= 1")
 
 
+def _edge_sides(g: Graph) -> list[list[tuple[int, VertexSet]]]:
+    """For each vertex r of a tree, the pairs (p, side) over its
+    neighbours p, where side is the mask of vertices on r's side of the
+    edge pr, i.e. {v : dist(v, r) < dist(v, p)}.  One pass rooted at
+    vertex 0 collects each subtree below an edge; the other side is its
+    complement."""
+    d0 = g.dist[0]
+    order = sorted(range(g.n), key=d0.__getitem__)
+    below = [1 << v for v in range(g.n)]
+    parent = [0] * g.n
+    for v in order[1:]:
+        parent[v] = next(u for u in bits(g.adj[v]) if d0[u] == d0[v] - 1)
+    for v in reversed(order[1:]):
+        below[parent[v]] |= below[v]
+    sides: list[list[tuple[int, VertexSet]]] = [[] for _ in range(g.n)]
+    for v in order[1:]:
+        p = parent[v]
+        sides[v].append((p, below[v]))
+        sides[p].append((v, g.full ^ below[v]))
+    return sides
+
+
 def rank(g: Graph, ell: int) -> tuple[int, RankCertificate]:
     """Rank of a tree and a verifiable certificate for it.
 
@@ -141,17 +166,18 @@ def rank(g: Graph, ell: int) -> tuple[int, RankCertificate]:
     spacing = 2 * ell + 2
     dist = g.dist
     adj = g.adj
+    sides = _edge_sides(g)
+    forks = mask_of(v for v in range(g.n) if adj[v].bit_count() >= 3)
+    sphere = {q: mask_of(v for v, d in enumerate(dist[q]) if d == spacing) for q in bits(forks)}
     memo: dict[VertexSet, int] = {}
 
     def away(region: VertexSet, q: int, r: int) -> VertexSet:
         dq = dist[q]
-        dr = dist[r]
-        gap = dq[r]
-        m = 0
-        for v in bits(region):
-            if dq[v] == dr[v] + gap:
-                m |= 1 << v
-        return m
+        toward = dq[r] - 1
+        for p, side in sides[r]:
+            if dq[p] == toward:
+                return region & side
+        raise AssertionError("no neighbour of the anchor lies toward the hub")
 
     def first_step(region: VertexSet, q: int, r: int) -> int:
         dr = dist[r]
@@ -166,14 +192,11 @@ def rank(g: Graph, ell: int) -> tuple[int, RankCertificate]:
         if got is not None:
             return got
         best = 1
-        for q in bits(region):
+        for q in bits(region & forks):
             if (adj[q] & region).bit_count() < 3:
                 continue
             table: dict[int, int] = {}
-            dq = dist[q]
-            for r in bits(region):
-                if dq[r] != spacing:
-                    continue
+            for r in bits(region & sphere[q]):
                 sub = ranked(away(region, q, r))
                 step = first_step(region, q, r)
                 if sub > table.get(step, 0):
@@ -200,14 +223,11 @@ def rank(g: Graph, ell: int) -> tuple[int, RankCertificate]:
     def build(region: VertexSet, level: int) -> RankCertificate:
         if level == 1:
             return RankCertificate(1, ell, (region & -region).bit_length() - 1, ())
-        for q in bits(region):
+        for q in bits(region & forks):
             if (adj[q] & region).bit_count() < 3:
                 continue
             table: dict[int, tuple[int, VertexSet]] = {}
-            dq = dist[q]
-            for r in bits(region):
-                if dq[r] != spacing:
-                    continue
+            for r in bits(region & sphere[q]):
                 sub = away(region, q, r)
                 if ranked(sub) < level - 1:
                     continue

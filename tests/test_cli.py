@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from lvcops import cli
 from lvcops.cli import main
 from lvcops.engine import dump_script
 from lvcops.families import generate, parse_recipe
@@ -245,7 +247,7 @@ def test_solve_number_solves_final_count_once(capsys, monkeypatch):
 
 
 def test_domination_solves_each_radius_once(capsys, monkeypatch):
-    from lvcops import cli, graphs
+    from lvcops import graphs
 
     radii = []
     real = graphs.k_domination_number
@@ -418,6 +420,51 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "witness" in out
+
+
+@pytest.mark.parametrize("command", ["solve", "simulate"])
+def test_more_cops_than_vertices_exits_one_at_once(capsys, command):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, [command, "--recipe", "cycle:4", "--ell", "1", "--cops", "12"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: 12 cops on a graph of order 4; at most 4 are ever needed"]
+
+
+def test_cops_equal_to_order_is_legal(capsys):
+    code, env = run_json(capsys, ["solve", "--recipe", "cycle:4", "--ell", "1", "--cops", "4"])
+    assert code == 0
+    assert env["results"]["winner"] == "cops"
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    """One parser serves every call in a process; a sequence of calls,
+    including a usage error and --help, gives each the output a freshly
+    built parser gives."""
+    analyze = ["analyze", "--recipe", "spider:3,2", "--format", "structured"]
+    sequence = [
+        analyze + ["--ell", "1", "--ell", "2"],
+        analyze,
+        analyze + ["--no-such-flag"],
+        ["--help"],
+        analyze + ["--ell", "1", "--ell", "2"],
+    ]
+    shared = [run(capsys, argv) for argv in sequence]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0]
+    assert shared[0] == shared[4]
+    assert json.loads(shared[0][1])["results"]["ball_domination"] == {"1": 3, "2": 1}
+    assert json.loads(shared[1][1])["results"]["ball_domination"] == {"1": 3}
+    assert len(shared[2][2].splitlines()) == 1
+    args = cli._build_parser().parse_args(["analyze", "--ell", "3"])
+    assert args.ell == [3]
+    assert cli._build_parser().parse_args(["analyze"]).ell is None
 
 
 def test_simulate_losing_cop_count_exits_one(capsys):

@@ -164,16 +164,22 @@ def test_budget_inconclusive_deterministic():
             policy(outs[0])  # nothing to replay from a budget stop
 
 
-def test_worker_count_invariance():
-    g = cycle(6)
-    base = solve(g, GameSpec(1, 2))
-    for w in (2, 3):
-        other = solve(g, GameSpec(1, 2), workers=w)
-        assert other.winner is base.winner
-        assert other.states == base.states
-        assert other.wave_sizes == base.wave_sizes
-        assert other.placement == base.placement
-        assert other.policy == base.policy
+def test_worker_count_invariance(capsys):
+    """--workers is accepted by the command line and changes no byte of a
+    solve, a cop number search, or a match replayed from solved policies."""
+    from lvcops.cli import main
+
+    runs = [
+        ["solve", "--recipe", "cycle:6", "--ell", "1", "--cops", "2"],
+        ["solve", "--recipe", "cycle:6", "--ell", "1", "--variant", "see"],
+        ["simulate", "--recipe", "cycle:6", "--ell", "1", "--cops", "2", "--robber", "solved"],
+    ]
+    for argv in runs:
+        outputs = []
+        for extra in ([], ["--workers", "2"], ["--workers", "3"]):
+            assert main(argv + ["--format", "structured"] + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1] == outputs[2], argv
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import random
 
 import pytest
 
+from lvcops.cli import main
 from lvcops.engine import Variant
 from lvcops.families import path_graph, random_tree, spider, subdivided_binary, t_family
-from lvcops.graphs import Graph, bits
+from lvcops.graphs import Graph, bits, mask_of
 from lvcops.solver import cop_number
 from lvcops.treerank import (
     CertificateBranch,
@@ -191,3 +194,109 @@ def test_diameter_reading_bounds_rank_everywhere():
         g = random_tree(5 + seed % 10, seed * 7)
         for ell in (1, 2):
             assert rank(g, ell)[0] <= height_bound(g, ell).diameter_reading
+
+
+# -- an independent ranker ---------------------------------------------------------
+
+
+def definition_rank(g: Graph, ell: int) -> tuple[int, RankCertificate]:
+    """Rank and certificate read straight off the module docstring.
+
+    Every vertex of a region is tried as a hub and every region vertex at
+    distance 2*ell + 2 as an anchor; the hanging subtree is the distance
+    formula {v : dist(v, q) = dist(v, r) + dist(r, q)} over the region.
+    The certificate takes the lowest-numbered hub, directions and anchors.
+    """
+    spacing = 2 * ell + 2
+    d = g.dist
+    memo: dict[int, int] = {}
+
+    def toward(q: int, r: int) -> int:
+        return next(u for u in bits(g.adj[q]) if d[r][u] == d[r][q] - 1)
+
+    def arms(region: int, q: int) -> dict[int, list[tuple[int, int]]]:
+        """direction -> (anchor, hanging subtree) pairs, anchors ascending;
+        empty unless q has the three directions a hub needs"""
+        out: dict[int, list[tuple[int, int]]] = {}
+        if (g.adj[q] & region).bit_count() < 3:
+            return out
+        for r in bits(region):
+            if d[q][r] == spacing:
+                sub = mask_of(v for v in bits(region) if d[q][v] == d[r][v] + d[q][r])
+                out.setdefault(toward(q, r), []).append((r, sub))
+        return out
+
+    def score(region: int) -> int:
+        if region not in memo:
+            best = 1
+            for q in bits(region):
+                values = sorted(
+                    (max(score(sub) for _, sub in pairs) for pairs in arms(region, q).values()),
+                    reverse=True,
+                )
+                if len(values) >= 3:
+                    best = max(best, 1 + values[2])
+            memo[region] = best
+        return memo[region]
+
+    def certificate(region: int, level: int) -> RankCertificate:
+        if level == 1:
+            return RankCertificate(1, ell, min(bits(region)), ())
+        for q in bits(region):
+            chosen = []
+            for direction, pairs in sorted(arms(region, q).items()):
+                r = next((r for r, sub in pairs if score(sub) >= level - 1), None)
+                if r is not None:
+                    chosen.append((direction, r, dict(pairs)[r]))
+            if len(chosen) < 3:
+                continue
+            branches = []
+            for direction, r, sub in chosen[:3]:
+                path = [direction]
+                while path[-1] != r:
+                    path.append(toward(path[-1], r))
+                branches.append(CertificateBranch(direction, tuple(path), certificate(sub, level - 1)))
+            return RankCertificate(level, ell, q, tuple(branches))
+        raise AssertionError("no hub reaches the level")
+
+    k = score(g.full)
+    return k, certificate(g.full, k)
+
+
+def _random_trees(count: int, seed: int):
+    """Bushy trees (uniform parent), stringy ones (parent among the three
+    vertices before) and some in between (among the six before), n <= 60,
+    relabelled at random."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randrange(1, 61)
+        span = (n, 3, 6)[i % 3]
+        label = list(range(n))
+        rng.shuffle(label)
+        edges = [(label[v], label[rng.randrange(max(0, v - span), v)]) for v in range(1, n)]
+        yield Graph(n, edges)
+
+
+def test_rank_matches_the_definition_on_random_trees():
+    seen = set()
+    for g in _random_trees(120, 8):
+        for ell in (1, 2, 3):
+            got = rank(g, ell)
+            assert got == definition_rank(g, ell), (g.n, g.edges, ell)
+            seen.add((ell, got[0]))
+    assert seen >= {(1, 2), (2, 2), (3, 2)}  # branching found at every radius
+
+
+def test_rank_matches_the_definition_on_family_members():
+    for level, ell in [(2, 1), (3, 1), (2, 2), (2, 3)]:
+        g = t_family(level, ell, attach_seed=level).graph
+        assert rank(g, ell) == definition_rank(g, ell)
+
+
+def test_pinned_rank_output(capsys):
+    """rank --format structured on the 157-vertex level-4 member, as it
+    read before the ranker moved to edge-side masks."""
+    assert main(["rank", "--recipe", "tfamily:k=4,ell=1", "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b2f1ffdd3f9873b78310262caa5d2a0ff5e572ce1d9c7ef53c2740fc5002a264"
