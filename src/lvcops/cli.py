@@ -45,6 +45,7 @@ from .families import (
     recipe_to_str,
 )
 from .graphs import (
+    MAX_ORDER,
     Graph,
     dump_text,
     is_chordal,
@@ -92,6 +93,15 @@ def _at_least_one(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _vertex_count(text: str) -> int:
+    """argparse type for a graph order: refused above the order cap before
+    any graph is built."""
+    value = _at_least_one(text)
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_ORDER}, got {value}")
     return value
 
 
@@ -158,9 +168,91 @@ def _spec_dict(ell: int, cops: int | None, variant: str) -> dict:
     return {"ell": ell, "cops": cops, "variant": variant}
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_INFINITY = float("inf")
+
+
+def _encode_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode_key(k) -> str:
+    """A dict key as json writes it: str, float, bool, None and int keys
+    become strings."""
+    if isinstance(k, str):
+        return _encode_str(k)
+    if isinstance(k, float):
+        return '"' + _encode_float(k) + '"'
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return '"' + int.__repr__(k) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _encode_json(o, pad: str = "") -> str:
+    """o exactly as json.dumps(o, indent=2, sort_keys=True) writes it, with
+    `pad` the indent of the line it starts on.
+
+    With an indent, CPython's json runs its pure-Python encoder, one
+    generator step per token; joining whole containers is about twice as
+    fast.  Exact ints, strs, lists, tuples and dicts come first; anything
+    else goes through json's own order of checks, so bools, None, floats
+    and subclasses come out as json writes them.  Dict items are sorted by
+    their keys before the keys become strings, as json does.
+    """
+    t = type(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is str:
+        return _encode_str(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        items = [int.__repr__(v) if type(v) is int else _encode_json(v, inner) for v in o]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        items = [
+            (_encode_str(k) if type(k) is str else _encode_key(k)) + ": " + _encode_json(v, inner)
+            for k, v in sorted(o.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _encode_float(o)
+    if isinstance(o, (list, tuple)):
+        return _encode_json(list(o), pad)
+    if isinstance(o, dict):
+        return _encode_json(dict(o.items()), pad)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if args.format == "structured":
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = _encode_json(payload) + "\n"
     else:
         body = text if text.endswith("\n") else text + "\n"
     if getattr(args, "out", None):
@@ -519,7 +611,7 @@ def _build_parser() -> _Parser:
     )
     _add_input(p, required=False)
     p.add_argument("--ell", type=int, default=1, help="visibility radius")
-    p.add_argument("--max-n", type=int, default=8, help="largest candidate order")
+    p.add_argument("--max-n", type=_vertex_count, default=8, help="largest candidate order")
     p.add_argument("--limit", type=_at_least_one, default=100_000, help="candidate budget")
     p.add_argument("--seed", type=int, default=0, help="candidate stream seed")
     _add_solver(p)

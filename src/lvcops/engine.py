@@ -711,6 +711,7 @@ class ScriptedCops:
     _round: int = 0
 
     def place(self, g: Graph, spec: GameSpec) -> tuple[int, ...]:
+        self.script.validate(g)  # a script file may name vertices g lacks
         self._round = 0
         return self.script.positions(0)
 

@@ -87,30 +87,71 @@ class Graph:
         self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
         self.adj: tuple[VertexSet, ...] = tuple(adj)
         self.adj_closed: tuple[VertexSet, ...] = tuple(adj[v] | (1 << v) for v in range(n))
-        self.dist: tuple[tuple[int, ...], ...] = tuple(self._bfs(v) for v in range(n))
+        self.dist: tuple[tuple[int, ...], ...] = self._distances()
         self._ball_cache: dict[int, tuple[VertexSet, ...]] = {}
         self._grow_tables: tuple[list[VertexSet], ...] | None = None
         self._hash: str | None = None
 
-    def _bfs(self, src: int) -> tuple[int, ...]:
-        """Distances from src, one frontier level at a time: the next level
-        is the union of the frontier's neighbourhoods minus the vertices
-        already reached."""
+    def _distances(self) -> tuple[tuple[int, ...], ...]:
+        """All-pairs distances, INF between components.
+
+        The BFS from vertex 0 comes first.  When it reaches every vertex and
+        m = n - 1 the graph is a tree, and every other row follows from its
+        BFS parent's: one more to every vertex, except the child's own
+        subtree, which is one nearer.  Any other graph takes one BFS per
+        vertex.
+        """
+        n, adj = self.n, self.adj
+        row0, levels = self._bfs(0)
+        if len(self.edges) != n - 1 or INF in row0:
+            return (tuple(row0),) + tuple(tuple(self._bfs(v)[0]) for v in range(1, n))
+        parent = [0] * n
+        order = [0]  # BFS order: every parent before its children
+        for above, level in zip(levels, levels[1:]):
+            for w in bits(level):
+                parent[w] = (adj[w] & above).bit_length() - 1  # the one neighbour above
+                order.append(w)
+        subtree = [1 << v for v in range(n)]
+        for w in reversed(order[1:]):
+            subtree[parent[w]] |= subtree[w]
+        rows: list[list[int]] = [row0] * n
+        for w in order[1:]:
+            row = [d + 1 for d in rows[parent[w]]]
+            s = subtree[w]
+            while s:
+                low = s & -s
+                row[low.bit_length() - 1] -= 2
+                s ^= low
+            rows[w] = row
+        return tuple(map(tuple, rows))
+
+    def _bfs(self, src: int) -> tuple[list[int], list[VertexSet]]:
+        """Distances from src and the vertex sets at each distance, one
+        frontier level at a time: the next level is the union of the
+        frontier's neighbourhoods minus the vertices already reached."""
         adj = self.adj
         d = [INF] * self.n
         d[src] = 0
         seen = frontier = 1 << src
-        level = 0
-        while frontier:
-            level += 1
+        levels = [frontier]
+        while True:
             reach = 0
-            for u in bits(frontier):
-                reach |= adj[u]
+            f = frontier
+            while f:
+                low = f & -f
+                reach |= adj[low.bit_length() - 1]
+                f ^= low
             frontier = reach & ~seen
+            if not frontier:
+                return d, levels
+            level = len(levels)
             seen |= frontier
-            for w in bits(frontier):
-                d[w] = level
-        return tuple(d)
+            levels.append(frontier)
+            f = frontier
+            while f:
+                low = f & -f
+                d[low.bit_length() - 1] = level
+                f ^= low
 
     # -- vertex set helpers --------------------------------------------------
 
@@ -291,8 +332,9 @@ def copwin_ordering(g: Graph) -> EliminationOrdering | None:
         found = False
         for v in bits(alive):
             nv = closed[v] & alive
-            for u in bits(alive & ~(1 << v)):
-                if nv & ~(closed[u] & alive) == 0:
+            # a witness u has v in N[u], so it is one of v's neighbours
+            for u in bits(nv & ~(1 << v)):
+                if nv & ~closed[u] == 0:
                     order.append(v)
                     wits.append(u)
                     alive &= ~(1 << v)

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import enum
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvcops import cli
 from lvcops.cli import main
 from lvcops.engine import dump_script
 from lvcops.families import generate, parse_recipe
-from lvcops.graphs import load
+from lvcops.graphs import MAX_ORDER, load
 from lvcops.strategies import tree_one_visibility_script
 
 
@@ -94,6 +100,125 @@ def test_profile_structured_stable_across_workers(capsys):
     assert one == two
 
 
+# -- the envelope encoder -------------------------------------------------------------
+
+
+def _json_reference(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)  # surrogates too
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _TEXT,
+)
+_NUMBER_KEYS = st.one_of(st.integers(), st.floats(allow_nan=True), st.booleans())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=5),
+        # keys sort by value before they become strings: 10 after 2
+        st.dictionaries(_NUMBER_KEYS, inner, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_VALUES)
+def test_envelope_encoder_matches_json_dumps(value):
+    assert cli._encode_json(value) == _json_reference(value)
+
+
+def test_envelope_encoder_edge_values():
+    nan, inf = float("nan"), float("inf")
+    value = {
+        "floats": [nan, inf, -inf, 0.1, -0.0, 1e300],
+        "text": ["\x00\x1f\"\\/", "\u00e9\u2603", "\U0001f600", "\ud800"],
+        "empty": [[], {}, (), ""],
+        "tuple": (1, (2, 3)),
+        "keys": {10: 1, 2: 2, 1.5: 3, True: 4, -3: 5},
+        "flags": {False: None},
+        "big": 10**30,
+    }
+    assert cli._encode_json(value) == _json_reference(value)
+
+    # subclasses take json's own order of checks
+    class Level(enum.IntEnum):
+        HIGH = 3
+
+    class Name(str):
+        pass
+
+    pair = collections.namedtuple("pair", "u v")
+    value = {
+        Name("level"): Level.HIGH,
+        "pair": pair(1, [2.5, Level.HIGH]),
+        "ordered": collections.OrderedDict([("b", 1), ("a", [])]),
+        "by_level": {Level.HIGH: Name("\u00e9"), 2: True},
+    }
+    assert cli._encode_json(value) == _json_reference(value)
+    with pytest.raises(TypeError):
+        cli._encode_json({"x": {1, 2}})
+    with pytest.raises(TypeError):
+        cli._encode_json({(1, 2): 0})
+
+
+_README_EXAMPLES = [
+    "solve --recipe cycle:4 --ell 1 --variant capture",
+    "rank --recipe tfamily:k=2,ell=1",
+    "verify --recipe subdivided:3,3 --script tell_2cop --ell 1",
+    "solve --recipe cycle:7 --ell 2 --variant see",
+    "solve --recipe complete:6 --ell 0",
+    "solve --recipe tfamily:k=2,ell=1 --ell 1",
+    "verify --recipe tfamily:k=2,ell=1 --script tfamily --ell 1",
+    "rank --recipe randomtree:n=12,seed=7 --ell 1",
+    "solve --recipe randomtree:n=12,seed=7 --ell 1",
+    "profile --recipe randomchordal:n=9,seed=3 --ell 1 --ell 2",
+    "verify --recipe subdivided:3,3 --script tell_3cop --ell 1",
+    "profile --recipe randomtree:n=8,seed=1 --parts classical,capture,see --ell 2",
+    "profile --recipe path:5 --parts classical,delayed",
+    "solve --recipe cycle:6 --ell 1 --workers 2",
+    # radius keys are ints in the profile and sort as numbers: 2 before 10
+    "profile --recipe path:5 --ell 2 --ell 10",
+    "analyze --recipe spider:3,2 --ell 1 --ell 2",
+    "generate --recipe tfamily:k=2,ell=1",
+    "simulate --recipe path:5 --ell 1 --script tree1vis --variant see --seed 3",
+    "witness --graph GAP --ell 1",
+]
+
+
+@pytest.mark.parametrize("line", _README_EXAMPLES)
+def test_structured_envelope_is_the_json_dumps_bytes(capsys, monkeypatch, line):
+    """The README's command line examples, a profile with radii 2 and 10,
+    and the commands the README shows no example of: stdout is exactly
+    json.dumps of the payload.  The long monotone solve and the criterion-9
+    witness search are left out for time; the witness envelope is checked
+    on the known gap graph instead."""
+    payloads = []
+    real = cli._emit
+
+    def grab(args, payload, text):
+        payloads.append(payload)
+        real(args, payload, text)
+
+    monkeypatch.setattr(cli, "_emit", grab)
+    gap = str(Path(__file__).parent / "data" / "gap_witness.txt")
+    argv = [gap if word == "GAP" else word for word in line.split()]
+    code, out, err = run(capsys, argv + ["--format", "structured"])
+    assert code == 0 and err == ""
+    assert out == _json_reference(payloads[0]) + "\n"
+    if "--ell 10" in line:
+        assert list(payloads[0]["results"]["see_at"]) == [2, 10]
+        assert out.index('"2":') < out.index('"10":')
+
+
 # -- generate and file round trips ---------------------------------------------------
 
 
@@ -140,6 +265,16 @@ def test_verify_accepts_script_file(capsys, tmp_path):
 
 
 # -- other commands -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_script_file_off_the_graph_exits_one(capsys, tmp_path, command):
+    path = tmp_path / "walks.txt"
+    path.write_text("0 1\n5 6\n")
+    argv = [command, "--recipe", "path:6", "--ell", "1", "--variant", "see", "--script", str(path)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: vertex 6 out of range"]
 
 
 def test_analyze_reports_ball_domination_per_radius(capsys):
@@ -212,6 +347,30 @@ def test_witness_single_candidate_hit(capsys):
     assert env["results"]["found"] is True
     assert env["results"]["profile"]["classical"] == 1
     assert env["results"]["profile"]["capture_at"] == {"1": 2}
+
+
+@pytest.mark.parametrize("max_n, code", [(MAX_ORDER + 1, 1), (MAX_ORDER, 2)])
+def test_witness_max_n_is_capped_at_the_order_cap(capsys, monkeypatch, max_n, code):
+    # the search is stubbed: it draws one candidate and finds nothing, so
+    # no solve runs; an order over the cap is refused before any draw
+    from lvcops.solver import WitnessResult
+
+    drawn = []
+
+    def search(hit, candidates, *, limit, profiler):
+        drawn.append(next(candidates).n)
+        return WitnessResult(None, None, 1, 0)
+
+    monkeypatch.setattr(cli, "search_witness", search)
+    got, out, err = run(capsys, ["witness", "--ell", "1", "--max-n", str(max_n), "--limit", "1"])
+    assert got == code
+    if code == 1:
+        assert out == "" and drawn == []
+        assert err.splitlines() == [
+            f"lvcops witness: error: argument --max-n: must be at most {MAX_ORDER}, got {max_n}"
+        ]
+    else:
+        assert drawn == [MAX_ORDER] and err == ""
 
 
 def _count_solves(monkeypatch) -> list[tuple]:
@@ -471,3 +630,184 @@ def test_simulate_losing_cop_count_exits_one(capsys):
     code, _, err = run(capsys, ["simulate", "--recipe", "cycle:6", "--ell", "1", "--cops", "1"])
     assert code == 1
     assert "raise --cops" in err
+
+
+# -- fuzzing the input boundary ---------------------------------------------------------
+#
+# Every bad input exits 1 with one stderr line and no traceback; good inputs
+# exit 0 (or 2 at a budget stop).  Each strategy draws a well-formed input and
+# then, most of the time, breaks it in a few places, so that examples reach
+# every check of the format, and past it; graphs stay small, so that those
+# that parse are cheap to analyze.
+
+_FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+_JUNK = st.sampled_from(["x", "1.5", "-1", "-", "0x1", "1e3", "\u0663", "#", "n=3", "=", ",", ":", "", "999"])
+_JUNK_LINE = st.lists(_JUNK, max_size=3).map(" ".join)
+
+
+@st.composite
+def _broken(draw, lines: list[str], junk=_JUNK_LINE) -> list[str]:
+    """lines with up to three of: a line replaced, dropped, repeated or
+    inserted, or one field of a line replaced."""
+    lines = list(lines)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["replace", "drop", "repeat", "insert", "field"]))
+        if op == "insert" or not lines:
+            lines.insert(at, draw(st.one_of(junk, st.just("# note"), st.just(""))))
+            continue
+        at = min(at, len(lines) - 1)
+        if op == "replace":
+            lines[at] = draw(junk)
+        elif op == "drop":
+            del lines[at]
+        elif op == "repeat":
+            lines.insert(at, lines[at])
+        else:
+            fields = lines[at].split() or [""]
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(_JUNK)
+            lines[at] = " ".join(fields)
+    return lines
+
+
+@st.composite
+def _small_graphs(draw) -> tuple[int, list[list[int]]]:
+    n = draw(st.integers(1, 10))
+    edges = set()
+    if draw(st.booleans()):  # connected: a random tree first
+        edges |= {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    edges = [list(e) if draw(st.booleans()) else [e[1], e[0]] for e in sorted(edges)]
+    return n, draw(st.permutations(edges))
+
+
+@st.composite
+def _text_graph_files(draw) -> str:
+    n, edges = draw(_small_graphs())
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    return "\n".join(draw(_broken(lines)))
+
+
+_JSON_JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 300), st.floats(), st.text(max_size=2))
+
+
+@st.composite
+def _json_graph_files(draw) -> str:
+    n, edges = draw(_small_graphs())
+    obj = {"n": n, "edges": edges}
+    op = draw(st.sampled_from(["none", "none", "n", "edge", "edges", "drop", "extra", "loop", "cut"]))
+    if op == "n":
+        obj["n"] = draw(_JSON_JUNK)
+    elif op == "edge" and edges:
+        edges[draw(st.integers(0, len(edges) - 1))] = draw(st.one_of(_JSON_JUNK, st.lists(_JSON_JUNK, max_size=3)))
+    elif op == "edges":
+        obj["edges"] = draw(_JSON_JUNK)
+    elif op == "drop":
+        del obj[draw(st.sampled_from(["n", "edges"]))]
+    elif op == "extra":
+        obj["m"] = len(edges)
+    elif op == "loop":
+        edges.append([n - 1, n - 1])
+    text = json.dumps(obj)
+    return text[: draw(st.integers(0, len(text) - 1))] if op == "cut" else text
+
+
+_GRAPH_FILES = st.one_of(_text_graph_files(), _json_graph_files(), st.text(max_size=30))
+_GRAPH_COMMANDS = st.sampled_from(
+    [["analyze"], ["analyze", "--ell", "2"], ["rank", "--ell", "1"], ["verify", "--script", "tree1vis", "--ell", "1"]]
+)
+
+# each family's parameters, with values that build small graphs
+_RECIPE_PARAMS = {
+    "path": {"n": (1, 30)},
+    "cycle": {"n": (3, 30)},
+    "complete": {"n": (1, 12)},
+    "biclique": {"m": (1, 6), "n": (1, 6)},
+    "spider": {"legs": (1, 5), "length": (1, 5)},
+    "tfamily": {"k": (1, 3), "ell": (0, 2), "attach": (0, 2)},
+    "subdivided": {"depth": (0, 4), "subdivisions": (0, 3)},
+    "randomtree": {"n": (1, 40), "seed": (0, 99)},
+    "randomchordal": {"n": (1, 20), "seed": (0, 99), "bias": (0, 4)},
+}
+
+
+@st.composite
+def _recipes(draw) -> str:
+    family = draw(st.sampled_from(sorted(_RECIPE_PARAMS)))
+    args = []
+    for name, (lo, hi) in _RECIPE_PARAMS[family].items():
+        if draw(st.integers(0, 9)):  # mostly given
+            value = draw(st.integers(lo, hi))
+            # the leading ones may go by position, except for tfamily
+            named = family == "tfamily" or args and "=" in args[-1] or draw(st.booleans())
+            args.append(f"{name}={value}" if named else str(value))
+    junk = st.one_of(_JUNK, st.builds("{}={}".format, st.sampled_from(["n", "k", "seed", "x"]), _JUNK),
+                     st.builds("{}={}".format, st.sampled_from(["n", "k", "depth", "legs"]), st.integers(-3, 10**6)))
+    return f"{family}:" + ",".join(draw(_broken(args, junk)))
+
+
+_RECIPES = st.one_of(_recipes(), st.text(max_size=20))
+
+
+@st.composite
+def _script_files(draw) -> str:
+    """Walks on path:6, one line per cop; vertex 6 is off the graph."""
+    length = draw(st.integers(1, 6))
+    walks = []
+    for _ in range(draw(st.integers(1, 3))):
+        walk = [draw(st.integers(0, 6))]
+        for _ in range(length - 1):
+            walk.append(min(6, max(0, walk[-1] + draw(st.integers(-1, 1)))))
+        walks.append(" ".join(map(str, walk)))
+    return "\n".join(draw(_broken(walks)))
+
+
+_SCRIPT_FILES = st.one_of(_script_files(), st.text(max_size=30))
+_SCRIPT_COMMANDS = st.sampled_from(
+    [
+        ["verify", "--ell", "1"],
+        ["verify", "--ell", "0", "--variant", "capture"],
+        ["simulate", "--ell", "1", "--variant", "see"],
+        ["simulate", "--ell", "0", "--rounds", "8"],
+    ]
+)
+
+
+def _fuzz_call(argv) -> None:
+    """Run main on argv and check the exit code contract."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@_FUZZ
+@given(text=_GRAPH_FILES, command=_GRAPH_COMMANDS, structured=st.booleans())
+def test_fuzz_graph_files(fuzz_dir, text, command, structured):
+    path = fuzz_dir / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    _fuzz_call(command + ["--graph", str(path)] + (["--format", "structured"] if structured else []))
+
+
+@_FUZZ
+@given(recipe=_RECIPES, structured=st.booleans())
+def test_fuzz_recipes(recipe, structured):
+    _fuzz_call(["generate", "--recipe", recipe] + (["--format", "structured"] if structured else []))
+
+
+@_FUZZ
+@given(text=_SCRIPT_FILES, command=_SCRIPT_COMMANDS)
+def test_fuzz_script_files(fuzz_dir, text, command):
+    path = fuzz_dir / "script.txt"
+    path.write_text(text, encoding="utf-8")
+    _fuzz_call(command + ["--recipe", "path:6", "--script", str(path)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -86,32 +87,89 @@ def test_distance_inf_when_disconnected():
     assert len(g.components()) == 2
 
 
-def test_distances_match_adjacency_list_bfs():
-    # plain queue BFS over adjacency lists, on graphs of every density,
-    # disconnected ones included
+def reference_distances(n: int, edges, sources=None) -> dict[int, list[int]]:
+    """Rows of the distance table by a plain queue BFS over adjacency lists."""
     from collections import deque
 
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    rows = {}
+    for s in range(n) if sources is None else sources:
+        want = [INF] * n
+        want[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in nbrs[u]:
+                if want[w] == INF:
+                    want[w] = want[u] + 1
+                    queue.append(w)
+        rows[s] = want
+    return rows
+
+
+def assert_distances(n: int, edges, sources=None) -> None:
+    g = Graph(n, edges)
+    assert type(g.dist) is tuple and all(type(row) is tuple for row in g.dist)
+    for s, want in reference_distances(n, edges, sources).items():
+        assert list(g.dist[s]) == want, (n, edges, s)
+
+
+def test_distances_match_adjacency_list_bfs():
+    # graphs of every density, disconnected ones included
     rng = random.Random(29)
     for _ in range(60):
         n = rng.randrange(1, 40)
         p = rng.choice((0.0, 0.05, 0.15, 0.5, 1.0))
-        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-        g = Graph(n, edges)
-        nbrs = [[] for _ in range(n)]
-        for u, v in edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for s in range(n):
-            want = [INF] * n
-            want[s] = 0
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w in nbrs[u]:
-                    if want[w] == INF:
-                        want[w] = want[u] + 1
-                        queue.append(w)
-            assert list(g.dist[s]) == want, (n, edges, s)
+        assert_distances(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    for _ in range(20):
+        g = random_connected(rng, rng.randrange(2, 60), rng.randrange(1, 30))
+        assert_distances(g.n, g.edges)
+
+
+def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    """A random tree on shuffled labels, so vertex 0 may sit anywhere; the
+    parent is drawn from the whole tree or from the last few vertices, for
+    bushy and for deep trees."""
+    label = list(range(n))
+    rng.shuffle(label)
+    near = rng.choice((None, 1, 3))
+    edges = []
+    for v in range(1, n):
+        u = rng.randrange(v) if near is None else rng.randrange(max(0, v - near), v)
+        edges.append((label[u], label[v]))
+    return edges
+
+
+def test_tree_distances_match_adjacency_list_bfs():
+    # trees take their rows from the BFS parent's row; check them whole,
+    # up to the order cap
+    rng = random.Random(53)
+    for n in (1, 2, 3, 4, 17, 64, 200, MAX_ORDER):
+        for _ in range(3 if n < 100 else 1):
+            assert_distances(n, _random_tree_edges(rng, n))
+    for n in (2, 9, MAX_ORDER):
+        assert_distances(n, [(i, i + 1) for i in range(n - 1)])  # path from an end
+        assert_distances(n, [(0, n - 1)] + [(i, i + 1) for i in range(1, n - 2)])  # 0 inside
+        for centre in (0, n // 2):
+            assert_distances(n, [(centre, v) for v in range(n) if v != centre])  # star
+
+
+def test_tree_edge_count_alone_is_no_tree():
+    # n - 1 edges but a cycle and an isolated vertex: every row by BFS
+    assert_distances(5, [(0, 1), (1, 2), (0, 2), (3, 0)])  # vertex 4 isolated
+    assert_distances(5, [(1, 2), (2, 3), (1, 3), (3, 4)])  # vertex 0 isolated
+    assert_distances(4, [(0, 1), (2, 3), (1, 2)])
+
+
+def test_complete_graph_at_the_order_cap_distances():
+    n = MAX_ORDER
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    assert_distances(n, edges, sources=(0, 1, 77, n - 1))
+    g = Graph(n, edges)
+    assert all(g.dist[u][v] == (u != v) for u in range(n) for v in range(n))
 
 
 def test_grow_cycle():
@@ -262,6 +320,69 @@ def test_k23_has_no_corner_at_all():
             if u != v:
                 assert g.adj_closed[v] & ~g.adj_closed[u]
     assert copwin_ordering(g) is None
+
+
+def reference_copwin_ordering(g: Graph):
+    """The corner search over every survivor, not only the corner's
+    neighbours: (order, witnesses), or None when a survivor set has no
+    corner."""
+    alive = g.full
+    order, wits = [], []
+    closed = g.adj_closed
+    while alive.bit_count() > 1:
+        for v in range(g.n):
+            if not alive >> v & 1:
+                continue
+            nv = closed[v] & alive
+            u = next(
+                (u for u in range(g.n)
+                 if u != v and alive >> u & 1 and nv & ~(closed[u] & alive) == 0),
+                None,
+            )
+            if u is not None:
+                order.append(v)
+                wits.append(u)
+                alive &= ~(1 << v)
+                break
+        else:
+            return None
+    last = alive.bit_length() - 1
+    return tuple(order) + (last,), tuple(wits) + (last,)
+
+
+def assert_copwin_ordering(g: Graph) -> bool:
+    eo = copwin_ordering(g)
+    want = reference_copwin_ordering(g)
+    assert (eo if eo is None else (eo.order, eo.witnesses)) == want, g.edges
+    return eo is not None
+
+
+def test_copwin_ordering_matches_all_survivor_search_on_small_graphs():
+    outcomes = []
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for sel in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if sel >> i & 1])
+            if g.is_connected():
+                outcomes.append(assert_copwin_ordering(g))
+    assert len(outcomes) == 772 and set(outcomes) == {True, False}
+
+
+def test_copwin_ordering_matches_all_survivor_search_on_random_graphs():
+    from lvcops.families import random_copwin_graph
+
+    rng = random.Random(61)
+    wins = losses = 0
+    for i in range(120):
+        if i % 2:
+            g = random_copwin_graph(rng.randrange(2, 40), seed=i, spread=rng.randrange(0, 4))
+        else:
+            g = random_connected(rng, rng.randrange(4, 30), rng.randrange(1, 25))
+        if assert_copwin_ordering(g):
+            wins += 1
+        else:
+            losses += 1
+    assert wins >= 60 and losses > 10
 
 
 def test_copwin_witnesses_check_out():
