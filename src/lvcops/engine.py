@@ -24,21 +24,24 @@ own tag so the two information models cannot be mixed up.
 
 The rules live in one place, the transition kernel below: _initial_keys
 (the evader's replies to an opening placement) and _expand (one full round
-per cop action) over plain (cops, tag, payload, snapshot) tuples.  The
-solver searches over the kernel; initial_branches, cop_turn, robber_turn
-and round_branches are thin views of it for the referee and the policies.
-A view returns the ongoing states only: a branch the cops win is dropped,
-so an empty tuple means the cops won on every branch.
+per cop action) over (cops, tag, payload, snapshot) keys, each packed into
+one int by the kernel's context (_Ctx).  The solver searches over the
+kernel; initial_branches, cop_turn, robber_turn and round_branches are thin
+views of it for the referee and the policies, decoding the kernel's ints
+into BeliefStates.  A view returns the ongoing states only: a branch the
+cops win is dropped, so an empty tuple means the cops won on every branch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple, Protocol
 
-from .graphs import Graph, VertexSet, bits, mask_of
+from .graphs import Graph, InputError, VertexSet, bits, mask_of
 
 
 class Variant(Enum):
@@ -98,7 +101,8 @@ SNAP_FREE = -1
 # evader's vertex (VIS), or the time-delayed knowledge set (DEL)
 INV, VIS, DEL = 0, 1, 2
 
-# (cops, tag, payload, snapshot); BeliefState is the named view
+# (cops, tag, payload, snapshot), as _Ctx.decode gives it; BeliefState is
+# the named view
 Key = tuple
 
 
@@ -110,7 +114,7 @@ class BeliefState(NamedTuple):
     disjoint from the cops' visibility balls.  snapshot carries the
     weakly-monotone baseline (the unseen territory recorded after the last
     cop half-move); SNAP_FREE means the next cop move sets a new baseline.
-    A BeliefState compares and hashes equal to the kernel's plain key tuple.
+    A BeliefState compares and hashes equal to the decoded key tuple.
     """
 
     cops: tuple[int, ...]
@@ -165,133 +169,208 @@ def _match_step(g: Graph, old, new) -> list[int]:
 
 
 class _Ctx:
-    """Per-solve caches: legal move tuples and visibility masks per cop
-    tuple, and grow() of each unseen territory (grown)."""
+    """Per-solve tables and the packed-key codec.
 
-    __slots__ = ("g", "see", "mono", "delayed", "adjc", "grown", "_moves", "_balls")
+    The kernel's states are ints: a key (cops, tag, payload, snapshot) packs
+    as cid | tag << cb | (snapshot + 1) << ss | payload << ps, where cid is
+    the id of the sorted cops tuple.  Ids are handed out on first sight, so
+    building a context costs nothing per tuple.  cb fits every multiset of
+    k cops on n vertices and the snapshot field is n + 1 bits wide, so the
+    packing is injective on well-formed keys.  Among keys with one cops
+    tuple and one tag, int order is the order of their key tuples.
+
+    An id is also an action: occ[a] and vis[a] are the occupancy and
+    visibility masks of the tuple cops_of[a], computed once, and moves(c)
+    lists the action ids one half-move from c.  grown memoizes grow() of
+    each unseen territory.
+    """
+
+    __slots__ = (
+        "g", "k", "see", "mono", "delayed", "adjc", "grown", "_balls",
+        "cb", "ss", "ps", "cmask", "smask", "_cid", "cops_of", "occ", "vis", "_moves",
+    )
 
     def __init__(self, g: Graph, spec: GameSpec) -> None:
         self.g = g
+        self.k = spec.cops
         self.see = spec.see_goal
         self.mono = spec.monotone
         self.delayed = spec.delayed
         self.adjc = g.adj_closed
         self.grown: dict[VertexSet, VertexSet] = {}
-        self._moves: dict[tuple, tuple] = {}
         self._balls = g.balls(spec.ell)
+        self.cb = (math.comb(g.n + spec.cops - 1, spec.cops) - 1).bit_length()
+        self.ss = self.cb + 2
+        self.ps = self.ss + g.n + 1
+        self.cmask = (1 << self.cb) - 1
+        self.smask = (1 << (g.n + 1)) - 1
+        self._cid: dict[tuple[int, ...], int] = {}
+        self.cops_of: list[tuple[int, ...]] = []
+        self.occ: list[VertexSet] = []
+        self.vis: list[VertexSet] = []
+        self._moves: dict[int, tuple[int, ...]] = {}
 
-    def moves(self, cops: tuple[int, ...]):
-        """All distinct sorted cop tuples one half-move away, with their
-        occupancy and visibility masks, in a fixed enumeration order."""
-        hit = self._moves.get(cops)
+    def cid(self, cops: tuple[int, ...]) -> int:
+        """The id of a sorted cops tuple, assigned on first sight."""
+        c = self._cid.get(cops)
+        if c is None:
+            if len(cops) != self.k:
+                raise IllegalMove(f"expected {self.k} cops, got {len(cops)}")
+            c = self._cid[cops] = len(self.cops_of)
+            self.cops_of.append(cops)
+            self.occ.append(mask_of(cops))
+            self.vis.append(_ball_union(self._balls, cops))
+        return c
+
+    def moves(self, c: int) -> tuple[int, ...]:
+        """The action ids one half-move away from the cops tuple c: every
+        distinct sorted tuple, in the order of its first occurrence in the
+        product of the cops' sorted closed neighbourhoods."""
+        hit = self._moves.get(c)
         if hit is not None:
             return hit
-        per_cop = [sorted(bits(self.adjc[c])) for c in cops]
-        out = []
-        seen = set()
-        balls = self._balls
+        cid = self.cid
+        per_cop = [sorted(bits(self.adjc[v])) for v in self.cops_of[c]]
+        out = {}
         for combo in itertools.product(*per_cop):
-            a = tuple(sorted(combo))
-            if a in seen:
-                continue
-            seen.add(a)
-            am = mask_of(a)
-            bm = 0
-            for c in a:
-                bm |= balls[c]
-            out.append((a, am, bm))
-        out = tuple(out)
-        self._moves[cops] = out
+            out[cid(tuple(sorted(combo)))] = None
+        out = self._moves[c] = tuple(out)
         return out
 
-    def masks(self, cops: tuple[int, ...]) -> tuple[int, int]:
-        """Occupancy and visibility masks of one cop tuple."""
-        return mask_of(cops), _ball_union(self._balls, cops)
+    def encode(self, key) -> int:
+        """Pack a well-formed key, giving its cops an id if they lack one."""
+        cops, tag, payload, snap = key
+        return self.cid(cops) | tag << self.cb | (snap + 1) << self.ss | payload << self.ps
+
+    def find(self, key) -> int | None:
+        """The packed int of a key whose cops already have an id, or None
+        for anything outside the codec's domain: never raises, never
+        aliases one key onto another."""
+        try:
+            cops, tag, payload, snap = key
+            c = self._cid.get(cops)
+        except (TypeError, ValueError):
+            return None
+        # the payload is the top field, so only a snapshot too wide for
+        # its field could carry into another key's bits
+        if (
+            c is None
+            or tag not in (INV, VIS, DEL)
+            or type(payload) is not int
+            or type(snap) is not int
+            or not SNAP_FREE <= snap <= self.g.full
+        ):
+            return None
+        return c | tag << self.cb | (snap + 1) << self.ss | payload << self.ps
+
+    def decode(self, p: int) -> Key:
+        """The plain (cops, tag, payload, snapshot) tuple of a packed int."""
+        return (
+            self.cops_of[p & self.cmask],
+            p >> self.cb & 3,
+            p >> self.ps,
+            (p >> self.ss & self.smask) - 1,
+        )
 
 
-def _initial_keys(ctx: _Ctx, cops: tuple[int, ...], cand: VertexSet) -> tuple[Key, ...]:
-    """The observation with the cops on cops and the evader somewhere in
-    cand: the opening split when cand is every vertex, the cop half-move's
-    split of a territory or knowledge set otherwise.  An empty tuple means
-    the cops win on every branch."""
-    am, bm = ctx.masks(cops)
+def _initial_keys(ctx: _Ctx, c: int, cand: VertexSet) -> tuple[int, ...]:
+    """The observation with the cops on the tuple c and the evader somewhere
+    in cand: the opening split when cand is every vertex, the cop
+    half-move's split of a territory or knowledge set otherwise.  An empty
+    tuple means the cops win on every branch."""
+    am, bm = ctx.occ[c], ctx.vis[c]
     free = cand & ~am
     if free == 0:
         return ()
+    ps = ctx.ps
     if ctx.delayed:
-        return ((cops, DEL, free, SNAP_FREE),)
+        return (c | DEL << ctx.cb | free << ps,)
     out = []
     if not ctx.see:
+        base = c | VIS << ctx.cb
         for v in bits(free & bm):
-            out.append((cops, VIS, v, SNAP_FREE))
+            out.append(base | v << ps)
     unseen = free & ~bm
     if unseen:
         snap = unseen if ctx.mono else SNAP_FREE
-        out.append((cops, INV, unseen, snap))
+        out.append(c | (snap + 1) << ctx.ss | unseen << ps)
     return tuple(out)
 
 
-def _expand(ctx: _Ctx, key: Key, moves) -> list[tuple[tuple[int, ...], tuple[Key, ...]]]:
-    """One full round from a cop-to-move state, per action in moves
-    ((action, occupancy mask, visibility mask) triples, as ctx.moves
-    gives them).
+def _expand(ctx: _Ctx, key: int, acts) -> list[tuple[int, tuple[int, ...]]]:
+    """One full round from the packed cop-to-move state key, per action id
+    in acts (as ctx.moves gives them).
 
     Returns one (action, successor keys) row per legal action, in the order
-    of moves, with the successor keys sorted.  There is no dedupe by
-    successor set: every successor carries its action as its cops, so only
-    empty rows can repeat.  An empty successor tuple means the action wins
-    on the spot (every branch terminal).  Monotonicity-violating actions
-    are omitted entirely.
+    of acts.  A row lists its INV successors sorted, then its VIS ones by
+    vertex: the order of the key tuples.  There is no dedupe by successor
+    set: every successor carries its action as its cops, so only empty rows
+    can repeat.  An empty successor tuple means the action wins on the spot
+    (every branch terminal).  Monotonicity-violating actions are omitted
+    entirely.
 
     Works on whole masks per action.  A ball holds its centre, so the
     occupancy mask lies inside the visibility mask: bm & ~am is where a
-    sighted evader may stand and ~bm is out of sight.
+    sighted evader may stand and ~bm is out of sight.  An INV successor with
+    no snapshot is a | payload << ps, since its tag and snapshot fields are 0.
     """
-    cops, tag, payload, snap = key
-    adjc = ctx.adjc
-    out: list[tuple[tuple[int, ...], tuple[Key, ...]]] = []
+    cb, ps = ctx.cb, ctx.ps
+    tag = key >> cb & 3
+    payload = key >> ps
+    adjc, occ, vis_of = ctx.adjc, ctx.occ, ctx.vis
+    out: list[tuple[int, tuple[int, ...]]] = []
 
     if tag == DEL:
-        for a, am, _bm in moves:
+        dtag = DEL << cb
+        for a in acts:
+            am = occ[a]
             surv = payload & ~am
             succ = set()
             while surv:
                 low = surv & -surv
                 succ.add(adjc[low.bit_length() - 1] & ~am)
                 surv ^= low
-            out.append((a, tuple([(a, DEL, m, SNAP_FREE) for m in sorted(succ)])))
+            base = a | dtag
+            out.append((a, tuple([base | m << ps for m in sorted(succ)])))
         return out
 
     see = ctx.see
+    vtag = VIS << cb
     if tag == VIS:
         r = payload
         step = adjc[r]
-        for a, am, bm in moves:
+        for a in acts:
+            am = occ[a]
             if (am >> r) & 1:
                 out.append((a, ()))
                 continue
+            bm = vis_of[a]
             esc = step & ~bm
-            row = [(a, INV, esc, SNAP_FREE)] if esc else []
+            row = [a | esc << ps] if esc else []
             if not see:
                 vis = step & bm & ~am
+                base = a | vtag
                 while vis:
                     low = vis & -vis
-                    row.append((a, VIS, low.bit_length() - 1, SNAP_FREE))
+                    row.append(base | (low.bit_length() - 1) << ps)
                     vis ^= low
             out.append((a, tuple(row)))
         return out
 
     mono = ctx.mono
+    ss = ctx.ss
     # the monotone baseline: an unseen vertex outside the snapshot is illegal
-    outside = ~snap if mono else 0
+    outside = ~((key >> ss & ctx.smask) - 1) if mono else 0
     grown_of = ctx.grown
     grow = ctx.g.grow
-    for a, am, bm in moves:
+    for a in acts:
+        bm = vis_of[a]
         unseen = payload & ~bm
         if unseen & outside:
             continue
+        am = occ[a]
         vis = 0
-        row = []  # the INV successors first; they share a, so sort by payload
+        row = []  # the INV successors first; they share a, so sort the ints
         if not see:
             seen_now = payload & bm & ~am
             while seen_now:
@@ -300,7 +379,7 @@ def _expand(ctx: _Ctx, key: Key, moves) -> list[tuple[tuple[int, ...], tuple[Key
                 vis |= step
                 esc = step & ~bm
                 if esc:
-                    row.append((a, INV, esc, SNAP_FREE))
+                    row.append(a | esc << ps)
                 seen_now ^= low
         if unseen:
             grown = grown_of.get(unseen)
@@ -309,14 +388,15 @@ def _expand(ctx: _Ctx, key: Key, moves) -> list[tuple[tuple[int, ...], tuple[Key
             vis |= grown
             u2 = grown & ~bm
             if u2:
-                row.append((a, INV, u2, unseen if mono else SNAP_FREE))
+                row.append(a | (unseen + 1) << ss | u2 << ps if mono else a | u2 << ps)
         if len(row) > 1:
             row = sorted(set(row))
         if not see:
             vis &= bm & ~am
+            base = a | vtag
             while vis:
                 low = vis & -vis
-                row.append((a, VIS, low.bit_length() - 1, SNAP_FREE))
+                row.append(base | (low.bit_length() - 1) << ps)
                 vis ^= low
         out.append((a, tuple(row)))
     return out
@@ -325,16 +405,25 @@ def _expand(ctx: _Ctx, key: Key, moves) -> list[tuple[tuple[int, ...], tuple[Key
 # -- turns: views over the kernel ------------------------------------------------
 
 
-def _states(keys: Iterable[Key]) -> tuple[BeliefState, ...]:
-    return tuple(BeliefState(*k) for k in keys)
+@functools.lru_cache(maxsize=4)
+def _view_ctx(g: Graph, spec: GameSpec) -> _Ctx:
+    """The context the views share per graph and resolved spec, so a
+    playout assigns each cops tuple its id and masks once.  It is a memo:
+    ids are private to the context, so what it holds never changes what a
+    view returns.  A playout uses one to three specs on one graph."""
+    return _Ctx(g, spec)
+
+
+def _states(ctx: _Ctx, keys: Iterable[int]) -> tuple[BeliefState, ...]:
+    return tuple(map(BeliefState._make, map(ctx.decode, keys)))
 
 
 def _round(ctx: _Ctx, state: BeliefState, cops: tuple[int, ...]) -> tuple[BeliefState, ...]:
     """The kernel's round on the one action cops; raises when it drops it."""
-    rows = _expand(ctx, state, ((cops, *ctx.masks(cops)),))
+    rows = _expand(ctx, ctx.encode(state), (ctx.cid(cops),))
     if not rows:
         raise MonotonicityViolation(f"moving to {cops} lets the unseen territory grow")
-    return _states(rows[0][1])
+    return _states(ctx, rows[0][1])
 
 
 def initial_branches(
@@ -351,7 +440,8 @@ def initial_branches(
     cops = tuple(sorted(placement))
     if len(cops) != spec.cops:
         raise IllegalMove(f"expected {spec.cops} cops, got {len(cops)}")
-    return _states(_initial_keys(_Ctx(g, spec), cops, g.full))
+    ctx = _view_ctx(g, spec)
+    return _states(ctx, _initial_keys(ctx, ctx.cid(cops), g.full))
 
 
 def cop_turn(
@@ -360,7 +450,7 @@ def cop_turn(
     """Half-round: cops move, then the observation.  Returned states are
     mid-round (evader still to move); pass them to robber_turn.  Raises
     MonotonicityViolation exactly when the kernel drops the move."""
-    ctx = _Ctx(g, spec.resolve(g))
+    ctx = _view_ctx(g, spec.resolve(g))
     cops = tuple(sorted(new_cops))
     _match_step(g, state.cops, cops)
     if ctx.mono:  # the kernel drops moves under the monotone rule only
@@ -369,13 +459,13 @@ def cop_turn(
         # a sighted evader has not moved since it was pinpointed
         r = state.payload
         return () if (mask_of(cops) >> r) & 1 else (BeliefState(cops, VIS, r),)
-    return _states(_initial_keys(ctx, cops, state.payload))
+    return _states(ctx, _initial_keys(ctx, ctx.cid(cops), state.payload))
 
 
 def robber_turn(g: Graph, spec: GameSpec, state: BeliefState) -> tuple[BeliefState, ...]:
     """Half-round: evader moves from a post-cop-move state, then the second
     observation.  This is the kernel's round with the cops passing."""
-    return _round(_Ctx(g, spec.resolve(g)), state, state.cops)
+    return _round(_view_ctx(g, spec.resolve(g)), state, state.cops)
 
 
 def round_branches(
@@ -384,13 +474,13 @@ def round_branches(
     """Full round: cop half-move composed with every evader reply."""
     cops = tuple(sorted(new_cops))
     _match_step(g, state.cops, cops)
-    return _round(_Ctx(g, spec.resolve(g)), state, cops)
+    return _round(_view_ctx(g, spec.resolve(g)), state, cops)
 
 
 # -- scripted sweeps ----------------------------------------------------------------
 
 
-class ScriptError(ValueError):
+class ScriptError(InputError):
     pass
 
 
@@ -434,12 +524,16 @@ def dump_script(script: Script) -> str:
 
 
 def load_script(text: str) -> Script:
+    """Parse one walk per line; raises ScriptError, an InputError."""
     rows = []
     for ln in text.strip().splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        rows.append(tuple(int(x) for x in ln.split()))
+        try:
+            rows.append(tuple(int(x) for x in ln.split()))
+        except ValueError as exc:
+            raise ScriptError(str(exc)) from None
     if not rows:
         raise ScriptError("empty script")
     return Script(tuple(rows))

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .graphs import MAX_ORDER, Graph
+from .graphs import MAX_ORDER, Graph, InputError
 
 
 class FamilyKind(Enum):
@@ -405,8 +405,15 @@ _PARAMS = {
 def parse_recipe(text: str) -> FamilyRecipe:
     """Parse compact recipe strings: 'cycle:6', 'subdivided:3,3',
     'tfamily:k=2,ell=1'.  Positional and key=value arguments may mix; an
-    unknown or repeated parameter name is an error.
+    unknown or repeated parameter name is an InputError.
     """
+    try:
+        return _parse_recipe(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _parse_recipe(text: str) -> FamilyRecipe:
     name, _, arg_text = text.partition(":")
     try:
         kind = FamilyKind(name.strip())

@@ -26,6 +26,10 @@ VertexSet = int  # bitmask alias, bit i set <=> vertex i in the set
 MAX_ORDER = 256
 
 
+class InputError(ValueError):
+    """Malformed user input: a graph file, a recipe or a script file."""
+
+
 def bits(mask: VertexSet):
     """Yield set bits of a mask in increasing order."""
     while mask:
@@ -480,7 +484,15 @@ def _is_int(x) -> bool:
 def load(text: str) -> Graph:
     """Parse either serialization: '<n> <m>' header plus edge lines, or a
     JSON object {"n": ..., "edges": [[u, v], ...]}.  '#' lines are ignored.
+    Anything malformed raises InputError.
     """
+    try:
+        return _load(text)
+    except ValueError as exc:  # JSON syntax and Graph's own checks too
+        raise InputError(str(exc)) from None
+
+
+def _load(text: str) -> Graph:
     stripped = text.strip()
     if stripped.startswith("{"):
         obj = json.loads(stripped)

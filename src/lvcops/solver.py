@@ -18,8 +18,8 @@ Layout of a solve:
      (one round per legal cop action), serially, interning states in a
      fixed discovery order and giving each (state, action) pair
      with a nonempty successor set one slot in flat arrays: its unmet
-     successor count, its state and its action, plus per-state lists of
-     the slots that wait on that state.  The discovery order, the state
+     successor count, its state and its action id, plus per-state arrays
+     of the slots that wait on that state.  The discovery order, the state
      count, and everything derived from them are fixed by the graph and
      the spec alone;
   3. propagate wins wave-synchronously over the slots.  A state's wave is
@@ -27,6 +27,10 @@ Layout of a solve:
      recorded action is the first to complete, under a fixed enumeration
      order;
   4. the cops win the game iff some placement has every root branch won.
+
+The store is compact: a state is the kernel's packed int (see engine._Ctx)
+mapped to its row in one dict, and every per-slot and per-row table is an
+int32 array, as is each state's list of waiting slots.
 
 The state budget is a hard cap on interned states.  Hitting it aborts with
 winner INCONCLUSIVE and states equal to the cap, never a guessed answer.
@@ -37,6 +41,7 @@ budgeted runs are reproducible too.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
@@ -79,6 +84,46 @@ class ChainViolation(ValueError):
     """A Profile failed one of its internal inequalities."""
 
 
+class StateIndex(Mapping):
+    """Read-only view of a solve's packed state table: key tuple -> row.
+
+    get packs the key through the solve's codec, and a key outside the
+    codec's domain (a wrong cop count, unsorted cops, a vertex the graph
+    lacks, payload or snapshot bits beyond the graph) is simply absent.
+    Iteration decodes the packed ints back to plain key tuples, in
+    interning order.
+    """
+
+    __slots__ = ("_ctx", "_rows")
+
+    def __init__(self, ctx: _Ctx, rows: dict[int, int]) -> None:
+        self._ctx = ctx
+        self._rows = rows
+
+    def get(self, key, default=None):
+        p = self._ctx.find(key)
+        return default if p is None else self._rows.get(p, default)
+
+    def __getitem__(self, key) -> int:
+        i = self.get(key)
+        if i is None:
+            raise KeyError(key)
+        return i
+
+    def __contains__(self, key) -> bool:
+        return self.get(key) is not None
+
+    def __iter__(self) -> Iterator[Key]:
+        return map(self._ctx.decode, self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def cops(self, a: int) -> tuple[int, ...]:
+        """The cops tuple of an action id."""
+        return self._ctx.cops_of[a]
+
+
 @dataclass(frozen=True)
 class SolveOutcome:
     """Result of one fixed-cop-count solve.
@@ -88,12 +133,14 @@ class SolveOutcome:
     cop moves (the chosen placement attains it; 0 means the placement
     covers the graph).
 
-    index maps each interned state key to its row, in interning order;
-    won, wave_of and chosen are the per-row tables (won flag, wave of a won
-    row, recorded first-completing action of a won row).  All four are empty
-    when INCONCLUSIVE.  Replay reads the solve through index alone
-    (SolvedCops, SolvedRobber).  policy, the key-level view of the recorded
-    actions, is built on first access and is set iff the cops win.
+    index maps each interned state key to its row, in interning order: a
+    StateIndex over the solve's packed-int table.  won, wave_of and chosen
+    are the per-row tables (won flag, wave of a won row, and the action id
+    of a won row's recorded first-completing action, -1 for none); wave_of
+    and chosen are int32 arrays, and action(i) decodes chosen[i].  All four
+    are empty when INCONCLUSIVE.  Replay reads the solve through index
+    alone (SolvedCops, SolvedRobber).  policy, the key-level view of the
+    recorded actions, is built on first access and is set iff the cops win.
     """
 
     winner: Winner
@@ -103,17 +150,22 @@ class SolveOutcome:
     placement: tuple[int, ...] | None
     graph: Graph
     spec: GameSpec
-    index: dict[Key, int] = field(default_factory=dict, repr=False)
+    index: Mapping[Key, int] = field(default_factory=dict, repr=False)
     won: bytearray = field(default_factory=bytearray, repr=False)
-    wave_of: list[int] = field(default_factory=list, repr=False)
-    chosen: list[tuple[int, ...] | None] = field(default_factory=list, repr=False)
+    wave_of: array = field(default_factory=lambda: array("i"), repr=False)
+    chosen: array = field(default_factory=lambda: array("i"), repr=False)
+
+    def action(self, i: int) -> tuple[int, ...] | None:
+        """The recorded action of row i, or None when it has none."""
+        a = self.chosen[i]
+        return None if a < 0 else self.index.cops(a)
 
     @cached_property
     def policy(self) -> Mapping[Key, tuple[int, ...]] | None:
         if self.winner is not Winner.COPS:
             return None
-        won, chosen = self.won, self.chosen
-        return {k: chosen[i] for k, i in self.index.items() if won[i]}
+        won, action = self.won, self.action
+        return {k: action(i) for k, i in self.index.items() if won[i]}
 
     def to_public_dict(self) -> dict:
         return {
@@ -147,16 +199,16 @@ def solve(
     spec = spec.resolve(g)
     ctx = _Ctx(g, spec)
 
-    index: dict[Key, int] = {}
-    keys: list[Key] = []
+    index: dict[int, int] = {}  # packed key -> row
+    keys: list[int] = []
     # preds[j] lists the slots, one per (state, action) pair with a
     # nonempty successor set, that have j among their successors.  Slots are
-    # made in ascending (state, action) order, so each preds list is too.
-    preds: list[list[int]] = []
-    remaining: list[int] = []  # unmet successors per slot
-    slot_state: list[int] = []
-    slot_action: list[tuple[int, ...]] = []
-    chosen: list[tuple[int, ...] | None] = []  # per expanded state
+    # made in ascending (state, action) order, so each preds array is too.
+    preds: list[array] = []
+    remaining = array("i")  # unmet successors per slot
+    slot_state = array("i")
+    slot_action = array("i")
+    chosen = array("i")  # per expanded state: a winning action id, or -1
     seeds: list[int] = []  # states with an action that wins on the spot
     wave_sizes: list[int] = []
 
@@ -166,34 +218,35 @@ def solve(
     placement_roots: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for p in itertools.combinations_with_replacement(range(g.n), spec.cops):
         roots = []
-        for k in _initial_keys(ctx, p, g.full):
+        for k in _initial_keys(ctx, ctx.cid(p), g.full):
             i = index.get(k)
             if i is None:
                 if len(keys) >= budget:
                     return inconclusive()
                 i = index[k] = len(keys)
                 keys.append(k)
-                preds.append([])
+                preds.append(array("i"))
             roots.append(i)
         placement_roots.append((p, tuple(roots)))
 
     # States are interned in discovery order and expanded in index order:
     # each wave is the run of indices interned while expanding the last.
     moves = ctx.moves
+    cmask = ctx.cmask
     get = index.get
     lo, hi = 0, len(keys)
     while lo < hi:
         wave_sizes.append(hi - lo)
         for i in range(lo, hi):
             key = keys[i]
-            rows = _expand(ctx, key, moves(key[0]))
-            win = None
+            rows = _expand(ctx, key, moves(key & cmask))
+            win = -1
             for a, succ_keys in rows:
                 if not succ_keys:
                     win = a
                     break
             chosen.append(win)
-            if win is not None:
+            if win >= 0:
                 # won at wave 1 whatever its other actions do; their
                 # successors are still interned, so the interning order
                 # does not depend on which states win
@@ -201,7 +254,7 @@ def solve(
             for a, succ_keys in rows:
                 if not succ_keys:
                     continue
-                if win is None:
+                if win < 0:
                     slot = len(remaining)
                     remaining.append(len(succ_keys))
                     slot_state.append(i)
@@ -214,14 +267,14 @@ def solve(
                             return inconclusive()
                         index[sk] = j
                         keys.append(sk)
-                        preds.append([])
-                    if win is None:
+                        preds.append(array("i"))
+                    if win < 0:
                         preds[j].append(slot)
         lo, hi = hi, len(keys)
 
     n_states = len(keys)
     won = bytearray(n_states)
-    wave_of = [0] * n_states
+    wave_of = array("i", bytes(4 * n_states))
     for i in seeds:
         won[i] = 1
         wave_of[i] = 1
@@ -255,7 +308,7 @@ def solve(
     winner = Winner.COPS if win_placement is not None else Winner.ROBBER
     return SolveOutcome(
         winner, n_states, tuple(wave_sizes), depth, win_placement, g, spec,
-        index, won, wave_of, chosen,
+        StateIndex(ctx, index), won, wave_of, chosen,
     )
 
 
@@ -477,7 +530,7 @@ class SolvedCops:
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState) -> tuple[int, ...]:
         i = self._out.index.get(state)
-        act = None if i is None else self._out.chosen[i]
+        act = None if i is None else self._out.action(i)
         return state.cops if act is None else act
 
 

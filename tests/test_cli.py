@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from lvcops import cli
 from lvcops.cli import main
-from lvcops.engine import dump_script
+from lvcops.engine import dump_script, load_script
 from lvcops.families import generate, parse_recipe
-from lvcops.graphs import MAX_ORDER, load
+from lvcops.graphs import MAX_ORDER, InputError, load
 from lvcops.strategies import tree_one_visibility_script
 
 
@@ -512,6 +512,28 @@ def test_malformed_graph_file_exits_one(capsys, tmp_path, text):
         assert err.strip() == _BAD_TEXT_GRAPHS[text]
     else:
         assert '"n": <int>' in err
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (load, "3 x\n0 1\n1 2"),
+        (load, "257 0"),
+        (load, "2 1\n0 5"),  # Graph's own edge check
+        (load, '{"n": 3}'),
+        (load, "{"),  # JSON syntax
+        (load, ""),
+        (parse_recipe, "mysterygraph:3"),
+        (parse_recipe, "cycle:6,x=3"),
+        (parse_recipe, "cycle:six"),
+        (parse_recipe, "path:1,2"),
+        (load_script, "0 x 2\n"),
+        (load_script, "   "),
+    ],
+)
+def test_loaders_raise_input_error(parse, text):
+    with pytest.raises(InputError):
+        parse(text)
 
 
 def test_oversized_recipe_exits_one(capsys):

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from lvcops.engine import (
     INV,
     SNAP_FREE,
     VIS,
+    BeliefState,
     GameSpec,
     Outcome,
     Script,
@@ -182,36 +184,36 @@ def test_worker_count_invariance(capsys):
         assert outputs[0] and outputs[0] == outputs[1] == outputs[2], argv
 
 
-@pytest.mark.parametrize(
-    "recipe, spec, budget, expected, policy_digest",
-    [
-        (
-            "subdivided:2,1", GameSpec(1, 2, Variant.MONOTONE_CAPTURE), 1_000_000,
-            (Winner.COPS, 2137, (366, 678, 883, 120, 42, 42, 6), 5), "60abd475cd297216",
-        ),
-        (
-            "randomtree:n=12,seed=4", GameSpec(1, 2), 1_000_000,
-            (Winner.COPS, 1180, (307, 415, 289, 105, 56, 2, 6), 5), "e6a0422db0ccf122",
-        ),
-        (
-            "cycle:9", GameSpec(1, 2), 460,
-            (Winner.INCONCLUSIVE, 460, (180, 180, 90), None), None,
-        ),
-        (
-            "subdivided:2,1", GameSpec(1, 2, Variant.SEE), 1_000_000,
-            (Winner.COPS, 1277, (91, 67, 160, 309, 328, 74, 24, 16, 4, 12, 24, 58, 110), 4),
-            "34592bfa53646929",
-        ),
-        (
-            "randomtree:n=12,seed=4", GameSpec(1, 2, Variant.TIME_DELAYED), 1_000_000,
-            (Winner.COPS, 836, (78, 758), 4), "0dff388ab967241b",
-        ),
-        (
-            "randomtree:n=12,seed=4", GameSpec(2, 2), 1_000_000,
-            (Winner.COPS, 946, (516, 275, 102, 29, 24), 4), "edf3a8fb01234832",
-        ),
-    ],
-)
+PINNED = [
+    (
+        "subdivided:2,1", GameSpec(1, 2, Variant.MONOTONE_CAPTURE), 1_000_000,
+        (Winner.COPS, 2137, (366, 678, 883, 120, 42, 42, 6), 5), "60abd475cd297216",
+    ),
+    (
+        "randomtree:n=12,seed=4", GameSpec(1, 2), 1_000_000,
+        (Winner.COPS, 1180, (307, 415, 289, 105, 56, 2, 6), 5), "e6a0422db0ccf122",
+    ),
+    (
+        "cycle:9", GameSpec(1, 2), 460,
+        (Winner.INCONCLUSIVE, 460, (180, 180, 90), None), None,
+    ),
+    (
+        "subdivided:2,1", GameSpec(1, 2, Variant.SEE), 1_000_000,
+        (Winner.COPS, 1277, (91, 67, 160, 309, 328, 74, 24, 16, 4, 12, 24, 58, 110), 4),
+        "34592bfa53646929",
+    ),
+    (
+        "randomtree:n=12,seed=4", GameSpec(1, 2, Variant.TIME_DELAYED), 1_000_000,
+        (Winner.COPS, 836, (78, 758), 4), "0dff388ab967241b",
+    ),
+    (
+        "randomtree:n=12,seed=4", GameSpec(2, 2), 1_000_000,
+        (Winner.COPS, 946, (516, 275, 102, 29, 24), 4), "edf3a8fb01234832",
+    ),
+]
+
+
+@pytest.mark.parametrize("recipe, spec, budget, expected, policy_digest", PINNED)
 def test_pinned_solves(recipe, spec, budget, expected, policy_digest):
     # values recorded from the solver before its core was rewritten (the
     # see, time-delayed and radius-2 rows before the mask-algebra kernel);
@@ -225,6 +227,59 @@ def test_pinned_solves(recipe, spec, budget, expected, policy_digest):
     else:
         blob = repr(sorted(out.policy.items())).encode()
         assert hashlib.sha256(blob).hexdigest()[:16] == policy_digest
+
+
+@pytest.mark.parametrize("recipe, spec, budget, expected, policy_digest", PINNED)
+def test_index_view_round_trips_and_refuses_foreign_keys(
+    recipe, spec, budget, expected, policy_digest
+):
+    g = generate(parse_recipe(recipe)).graph
+    out = solve(g, spec, budget=budget)
+    index = out.index
+    if out.winner is Winner.INCONCLUSIVE:
+        assert len(index) == 0
+        return
+    # iteration decodes in interning order and get packs: every key comes
+    # back to its own row, as a plain tuple and as a BeliefState
+    rows = 0
+    for i, key in enumerate(index):
+        assert type(key) is tuple
+        assert index.get(key) == i == index[BeliefState(*key)]
+        rows += 1
+    assert rows == len(index) == out.states
+
+    n, k = g.n, spec.cops
+    key = next(iter(index))
+    cops, tag, payload, snap = key
+    foreign = [
+        (cops + (cops[0],), tag, payload, snap),  # a cop too many
+        (cops[:-1], tag, payload, snap),  # a cop too few
+        ((n,) * k, tag, payload, snap),  # a vertex the graph lacks
+        ((-1,) + cops[1:], tag, payload, snap),
+        (cops, 3, payload, snap),  # no such tag
+        (cops, tag, payload | 1 << n, snap),  # payload bits beyond the graph
+        (cops, tag, -1, snap),
+        (cops, INV, 1, 1 << n),  # snapshot bits beyond the graph
+        (cops, INV, 1, -2),
+        (cops, tag, float(payload), snap),
+        (list(cops), tag, payload, snap),  # unhashable cops
+        key[:3],
+        None,
+        "key",
+    ]
+    if k >= 2:
+        foreign.append(((1, 0) + (0,) * (k - 2), tag, payload, snap))  # unsorted cops
+    for key in list(index)[:200]:
+        cops, tag, payload, snap = key
+        # one more than the snapshot field holds would carry into the
+        # payload field of a plain bit-packing: it must not alias a row
+        if payload >= 1:
+            foreign.append((cops, tag, payload - 1, snap + (1 << (n + 1))))
+    for bad in foreign:
+        assert index.get(bad) is None, bad
+        assert bad not in index, bad
+        with pytest.raises(KeyError):
+            index[bad]
 
 
 # -- independent oracles ------------------------------------------------------------
@@ -499,7 +554,10 @@ def test_kernel_rows_obey_the_rules():
                     if tag == INV and snap != SNAP_FREE and unseen - set(bits(snap)):
                         continue  # the unseen territory would grow
                     legal.add(a)
-                rows = _expand(ctx, key, ctx.moves(cops))
+                rows = [
+                    (ctx.cops_of[a], tuple(map(ctx.decode, succs)))
+                    for a, succs in _expand(ctx, ctx.encode(key), ctx.moves(ctx.cid(cops)))
+                ]
                 assert sorted(a for a, _ in rows) == sorted(legal), key
                 filled = [succs for _, succs in rows if succs]
                 assert len(set(filled)) == len(filled), key
@@ -520,6 +578,57 @@ def test_kernel_rows_obey_the_rules():
                             assert p2 in sighted, (key, a)
                 expanded += 1
     assert expanded > 10_000
+
+
+def test_move_order_is_first_occurrence_in_the_product():
+    # the order of ctx.moves fixes the interning order, so it is pinned to
+    # the first occurrence of each sorted tuple in the product of the cops'
+    # sorted closed neighbourhoods (from g.dist); each action id's masks
+    # are its tuple's occupancy and the union of its balls
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(30):
+        g = random_connected(rng.randrange(2, 9), rng.randrange(0, 6), rng)
+        step = [sorted(_near(g, 1)[v]) for v in range(g.n)]
+        for k in (1, 2, 3):
+            ell = rng.randrange(0, 3)
+            near = _near(g, ell)
+            ctx = _Ctx(g, GameSpec(ell, k))
+            for cops in itertools.combinations_with_replacement(range(g.n), k):
+                want = {}
+                for combo in itertools.product(*(step[v] for v in cops)):
+                    want.setdefault(tuple(sorted(combo)), None)
+                acts = ctx.moves(ctx.cid(cops))
+                assert [ctx.cops_of[a] for a in acts] == list(want), (g.edges, cops)
+                for a in acts:
+                    a_cops = ctx.cops_of[a]
+                    assert ctx.cid(a_cops) == a
+                    assert ctx.occ[a] == sum(1 << v for v in set(a_cops))
+                    assert ctx.vis[a] == sum(1 << v for v in set().union(*(near[c] for c in a_cops)))
+                checked += 1
+    assert checked > 1000
+
+
+def test_solve_memory_per_state():
+    # tracemalloc's peak over one solve, per interned state.  The store of
+    # tuple keys, int lists and per-state pred lists peaked at 688 B/state
+    # here (Python 3.11); packed keys and int32 tables need under 0.7x that
+    g = generate(parse_recipe("randomtree:n=12,seed=4")).graph
+    spec = GameSpec(1, 2)
+    solve(g, spec)  # builds the graph's lazy tables outside the measurement
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = solve(g, spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out.states == 1180
+    assert peak / out.states <= 0.7 * 688
 
 
 def test_policy_captures_against_solver_robber():
