@@ -539,6 +539,15 @@ def load_script(text: str) -> Script:
     return Script(tuple(rows))
 
 
+_DIGIT_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _ascending_bits(mask: VertexSet) -> list[int]:
+    """bits(mask) as a list, without a generator step per bit: the binary
+    digits, least significant first, select from the vertex numbers."""
+    return list(itertools.compress(itertools.count(), format(mask, "b")[::-1].encode().translate(_DIGIT_BITS)))
+
+
 @dataclass(frozen=True)
 class CleaningReport:
     """Worst-case territory evolution under a script.
@@ -564,11 +573,11 @@ class CleaningReport:
     def to_dict(self) -> dict:
         return {
             "rounds": self.rounds,
-            "territory_per_round": [sorted(bits(s)) for s in self.snapshots],
-            "seen": [list(e) for e in self.seen_events],
-            "captured": [list(e) for e in self.captured_events],
-            "recontaminated": [list(e) for e in self.recontaminations],
-            "located": [list(e) for e in self.located],
+            "territory_per_round": list(map(_ascending_bits, self.snapshots)),
+            "seen": list(map(list, self.seen_events)),
+            "captured": list(map(list, self.captured_events)),
+            "recontaminated": list(map(list, self.recontaminations)),
+            "located": list(map(list, self.located)),
             "seen_guaranteed_at": self.seen_guaranteed_at,
             "cleaned_at": self.cleaned_at,
             "monotone": self.monotone,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -19,6 +20,10 @@ from itertools import combinations
 INF = 1 << 30
 
 VertexSet = int  # bitmask alias, bit i set <=> vertex i in the set
+
+# byte maps that shift a row of tree distances by one (see _tree_distances)
+_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
+_MINUS_ONE = b"\xff" + bytes(range(255))
 
 # the largest order a graph file or recipe may have, checked before building:
 # a Graph holds an n x n distance table, and nothing here is exact at even a
@@ -99,45 +104,71 @@ class Graph:
     def _distances(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs distances, INF between components.
 
-        The BFS from vertex 0 comes first.  When it reaches every vertex and
-        m = n - 1 the graph is a tree, and every other row follows from its
-        BFS parent's: one more to every vertex, except the child's own
-        subtree, which is one nearer.  Any other graph takes one BFS per
-        vertex.
+        Trees take _tree_distances; any other graph, and a tree whose
+        distances need more than a byte, takes one BFS per vertex.
+        """
+        n = self.n
+        if 1 < n <= 256 and len(self.edges) == n - 1:
+            rows = self._tree_distances()
+            if rows is not None:
+                return rows
+        return tuple(self._bfs(v) for v in range(n))
+
+    def _tree_distances(self) -> tuple[tuple[int, ...], ...] | None:
+        """All-pairs distances when the graph is a tree, else None (m = n - 1
+        is assumed, so a search from vertex 0 that reaches every vertex
+        proves a tree).
+
+        In a depth-first preorder every subtree is one contiguous run, and a
+        child's row is its parent's plus one, except over its own subtree,
+        which is one nearer.  Rows are bytes in preorder, shifted a run at a
+        time by translate tables, and read back in label order at the end.
         """
         n, adj = self.n, self.adj
-        row0, levels = self._bfs(0)
-        if len(self.edges) != n - 1 or INF in row0:
-            return (tuple(row0),) + tuple(tuple(self._bfs(v)[0]) for v in range(1, n))
         parent = [0] * n
-        order = [0]  # BFS order: every parent before its children
-        for above, level in zip(levels, levels[1:]):
-            for w in bits(level):
-                parent[w] = (adj[w] & above).bit_length() - 1  # the one neighbour above
-                order.append(w)
-        subtree = [1 << v for v in range(n)]
-        for w in reversed(order[1:]):
-            subtree[parent[w]] |= subtree[w]
-        rows: list[list[int]] = [row0] * n
-        for w in order[1:]:
-            row = [d + 1 for d in rows[parent[w]]]
-            s = subtree[w]
-            while s:
-                low = s & -s
-                row[low.bit_length() - 1] -= 2
-                s ^= low
-            rows[w] = row
-        return tuple(map(tuple, rows))
+        pre = []
+        stack = [0]
+        seen = 1
+        while stack:
+            v = stack.pop()
+            pre.append(v)
+            kids = adj[v] & ~seen
+            seen |= kids
+            while kids:
+                low = kids & -kids
+                u = low.bit_length() - 1
+                parent[u] = v
+                stack.append(u)
+                kids ^= low
+        if len(pre) != n:
+            return None
+        pos = [0] * n
+        depth = [0] * n
+        size = [1] * n
+        for i, v in enumerate(pre):
+            pos[v] = i
+        for v in pre[1:]:
+            depth[v] = depth[parent[v]] + 1
+        for v in reversed(pre[1:]):
+            size[parent[v]] += size[v]
+        rows = [b""] * n
+        rows[0] = bytes(map(depth.__getitem__, pre))
+        for w in pre[1:]:
+            a = pos[w]
+            b = a + size[w]
+            up = rows[parent[w]]
+            rows[w] = up[:a].translate(_PLUS_ONE) + up[a:b].translate(_MINUS_ONE) + up[b:].translate(_PLUS_ONE)
+        return tuple(map(operator.itemgetter(*pos), rows))
 
-    def _bfs(self, src: int) -> tuple[list[int], list[VertexSet]]:
-        """Distances from src and the vertex sets at each distance, one
-        frontier level at a time: the next level is the union of the
-        frontier's neighbourhoods minus the vertices already reached."""
+    def _bfs(self, src: int) -> tuple[int, ...]:
+        """Distances from src, one frontier level at a time: the next level
+        is the union of the frontier's neighbourhoods minus the vertices
+        already reached."""
         adj = self.adj
         d = [INF] * self.n
         d[src] = 0
         seen = frontier = 1 << src
-        levels = [frontier]
+        level = 0
         while True:
             reach = 0
             f = frontier
@@ -147,10 +178,9 @@ class Graph:
                 f ^= low
             frontier = reach & ~seen
             if not frontier:
-                return d, levels
-            level = len(levels)
+                return tuple(d)
+            level += 1
             seen |= frontier
-            levels.append(frontier)
             f = frontier
             while f:
                 low = f & -f
@@ -187,9 +217,9 @@ class Graph:
         adjc = self.adj_closed
         tables = []
         for base in range(0, self.n, 8):
-            t = [0] * (1 << min(8, self.n - base))
-            for b in range(1, len(t)):
-                t[b] = t[b & (b - 1)] | adjc[base + (b & -b).bit_length() - 1]
+            t = [0]
+            for c in adjc[base : base + 8]:
+                t += [x | c for x in t]  # the entries with this bit set
             tables.append(t)
         return tuple(tables)
 
@@ -199,6 +229,9 @@ class Graph:
         got = self._ball_cache.get(r)
         if got is not None:
             return got
+        if r == 1:
+            self._ball_cache[1] = self.adj_closed  # the closed neighbourhoods
+            return self.adj_closed
         out = []
         for v in range(self.n):
             dv = self.dist[v]
@@ -217,21 +250,6 @@ class Graph:
     def is_tree(self) -> bool:
         return self.is_connected() and len(self.edges) == self.n - 1
 
-    def components(self) -> list[VertexSet]:
-        rest = self.full
-        out = []
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            comp = 1 << v
-            frontier = comp
-            while frontier:
-                nxt = self.grow(frontier) & rest & ~comp
-                comp |= nxt
-                frontier = nxt
-            out.append(comp)
-            rest &= ~comp
-        return out
-
     def induced(self, mask: VertexSet) -> tuple["Graph", list[int]]:
         """Induced subgraph plus the old-vertex list (new label -> old)."""
         keep = list(bits(mask))
@@ -248,10 +266,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
-
-
-def build_graph(n: int, edges) -> Graph:
-    return Graph(n, edges)
 
 
 def closed_ball(g: Graph, v: int, r: int) -> VertexSet:
@@ -315,6 +329,8 @@ def chordal_peo(g: Graph) -> EliminationOrdering | None:
 
 
 def is_chordal(g: Graph) -> bool:
+    if len(g.edges) == g.n - 1 and g.is_connected():
+        return True  # a tree has no cycle, so no chordless one
     return chordal_peo(g) is not None
 
 

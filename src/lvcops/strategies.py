@@ -102,6 +102,26 @@ def _subtree_vertices(rt: _Rooted, v: int) -> list[int]:
     return out
 
 
+def _tree_route(rt: _Rooted, frm: int, to: int) -> list[int]:
+    """Steps of the tree path from frm to to, excluding frm: up from both
+    ends to their lowest common ancestor."""
+    parent, depth = rt.parent, rt.depth
+    up: list[int] = []
+    down: list[int] = []
+    while depth[frm] > depth[to]:
+        frm = parent[frm]
+        up.append(frm)
+    while depth[to] > depth[frm]:
+        down.append(to)
+        to = parent[to]
+    while frm != to:
+        frm = parent[frm]
+        up.append(frm)
+        down.append(to)
+        to = parent[to]
+    return up + down[::-1]
+
+
 def _route(g: Graph, frm: int, to: int) -> list[int]:
     """Steps of a lowest-vertex geodesic from frm to to, excluding frm."""
     steps = []
@@ -139,17 +159,21 @@ class _Walks:
         self._bg.pop(c, None)
 
     def block(self, moves: dict[int, list[int]]) -> None:
-        span = max((len(m) for m in moves.values()), default=0)
+        span = max(map(len, moves.values()), default=0)
         for c, row in enumerate(self.rows):
-            seq = list(moves.get(c, []))
-            while len(seq) < span:
-                cur = seq[-1] if seq else row[-1]
-                if c in self._bg and c not in moves:
-                    a, b = self._bg[c]
-                    seq.append(b if cur == a else a)
-                else:
-                    seq.append(cur)
+            seq = moves.get(c, ())
             row.extend(seq)
+            short = span - len(seq)
+            if short <= 0:
+                continue
+            cur = row[-1]
+            if c in self._bg and c not in moves:
+                a, b = self._bg[c]
+                there = b if cur == a else a
+                back = a if there == b else b
+                row.extend(([there, back] * (short // 2 + 1))[:short])
+            else:
+                row.extend([cur] * short)
 
     def script(self) -> Script:
         return Script(tuple(tuple(r) for r in self.rows))
@@ -174,11 +198,11 @@ def tree_one_visibility_script(g: Graph) -> Script:
     k = max(1, _ceil_div(met.radius, 3))
     rt = _hang(g, root)
     wb = _Walks([root] * k)
-    _one_vis_clean(g, rt, wb, root, list(range(k)))
+    _one_vis_clean(rt, wb, root, list(range(k)))
     return wb.script()
 
 
-def _one_vis_clean(g: Graph, rt: _Rooted, wb: _Walks, s: int, crew: list[int]) -> None:
+def _one_vis_clean(rt: _Rooted, wb: _Walks, s: int, crew: list[int]) -> None:
     """Clean the subtree at s with the crew; everyone starts and ends at s."""
     if rt.height[s] <= 3 or len(crew) == 1:
         _one_vis_base(rt, wb, s, crew[0])
@@ -190,14 +214,14 @@ def _one_vis_clean(g: Graph, rt: _Rooted, wb: _Walks, s: int, crew: list[int]) -
         targets = _descendants_at(rt, x, 2)
         # lead settles on x, then guards: s is inside its ball every second
         # round, so nothing crosses between subtrees unseen
-        wb.block({lead: _route(g, wb.pos(lead), x)})
+        wb.block({lead: _tree_route(rt, wb.pos(lead), x)})
         for t in targets:
             wb.set_background(lead, x, rt.parent[t])
-            march = {c: _route(g, wb.pos(c), t) for c in sub}
+            march = {c: _tree_route(rt, wb.pos(c), t) for c in sub}
             wb.block(march)
-            _one_vis_clean(g, rt, wb, t, sub)
+            _one_vis_clean(rt, wb, t, sub)
         wb.clear_background(lead)
-    wb.block({c: _route(g, wb.pos(c), s) for c in crew})
+    wb.block({c: _tree_route(rt, wb.pos(c), s) for c in crew})
     if idle:
         walk: list[int] = []
         for x in idle:
@@ -465,7 +489,7 @@ def _sub_clean(g: Graph, rt: _Rooted, wb: _Walks, s: int, crew: list[int], ell: 
     if ell == 1:
         need = _ceil_div(rt.height[s], 3)
         if need <= len(crew):
-            _one_vis_clean(g, rt, wb, s, crew[:need])
+            _one_vis_clean(rt, wb, s, crew[:need])
             return
     raise UnsupportedStrategyError(
         f"subtree at {s} has height {rt.height[s]}, beyond the k-2 cop sub-cleaners"

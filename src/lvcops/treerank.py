@@ -14,9 +14,15 @@ away from q is {v : dist(v, q) = dist(v, r) + dist(r, q)}, intersected
 with the current mask; the intersection matters, because a nested
 evaluation may look back toward the boundary of its region and must not
 pick up structure outside it.  In a tree that set is the side of the
-edge pr that holds r, where p is r's neighbour toward q, so rank reads
-it from edge-side masks built once per call instead of testing every
-vertex of the region.  Memoisation is keyed by the mask itself.
+edge pr that holds r, where p is r's neighbour toward q.  Every region
+is a subtree, so one that holds q and r holds the path between them:
+neither that side nor q's first step toward r depends on the region.
+rank therefore builds an anchor table once per call: for each fork q (a
+vertex of degree at least 3), the ascending list of (anchor r, first
+step from q toward r, r's side of the edge toward q) over the vertices
+r at exact spacing from q.  A region reads it with one bit test per
+anchor and one mask intersection per anchor it holds.  Memoisation is
+keyed by the mask itself.
 
 A rank claim is witnessed by a certificate: the scoring vertex, three
 vertex-disjoint paths of exactly 2*ell + 2 edges in distinct directions,
@@ -29,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .graphs import Graph, VertexSet, bits, mask_of, metrics
+from .graphs import Graph, VertexSet, bits, metrics
 
 __all__ = [
     "CertificateBranch",
@@ -152,6 +158,35 @@ def _edge_sides(g: Graph) -> list[list[tuple[int, VertexSet]]]:
     return sides
 
 
+def _anchor_table(g: Graph, spacing: int) -> list[tuple[int, list[tuple[int, int, VertexSet]]]]:
+    """The pairs (q, anchors) over the forks q of a tree, in ascending order
+    of q.  anchors lists, in ascending order of r, the triples (r, step,
+    side) over the vertices r exactly `spacing` from q: step is q's
+    neighbour toward r, and side is the mask of r's side of the edge
+    between r and its neighbour toward q.  A fork whose anchors lie in
+    fewer than three directions can never score, so it is left out."""
+    dist = g.dist
+    sides = _edge_sides(g)
+    full = g.full
+    toward = spacing - 1
+    table = []
+    for q in range(g.n):
+        if len(sides[q]) < 3:
+            continue
+        dq = dist[q]
+        # r lies beyond q's neighbour u exactly when it is off q's side of qu
+        beyond = [(u, full ^ side) for u, side in sides[q]]
+        anchors = []
+        for r, d in enumerate(dq):
+            if d == spacing:
+                step = next(u for u, b in beyond if (b >> r) & 1)
+                side = next(s for p, s in sides[r] if dq[p] == toward)
+                anchors.append((r, step, side))
+        if len({step for _, step, _ in anchors}) >= 3:
+            table.append((q, anchors))
+    return table
+
+
 def rank(g: Graph, ell: int) -> tuple[int, RankCertificate]:
     """Rank of a tree and a verifiable certificate for it.
 
@@ -163,44 +198,25 @@ def rank(g: Graph, ell: int) -> tuple[int, RankCertificate]:
     the output is deterministic.
     """
     _require_tree(g, ell)
-    spacing = 2 * ell + 2
     dist = g.dist
     adj = g.adj
-    sides = _edge_sides(g)
-    forks = mask_of(v for v in range(g.n) if adj[v].bit_count() >= 3)
-    sphere = {q: mask_of(v for v, d in enumerate(dist[q]) if d == spacing) for q in bits(forks)}
+    forks = _anchor_table(g, 2 * ell + 2)
     memo: dict[VertexSet, int] = {}
-
-    def away(region: VertexSet, q: int, r: int) -> VertexSet:
-        dq = dist[q]
-        toward = dq[r] - 1
-        for p, side in sides[r]:
-            if dq[p] == toward:
-                return region & side
-        raise AssertionError("no neighbour of the anchor lies toward the hub")
-
-    def first_step(region: VertexSet, q: int, r: int) -> int:
-        dr = dist[r]
-        want = dist[q][r] - 1
-        for u in bits(adj[q] & region):
-            if dr[u] == want:
-                return u
-        raise AssertionError("anchor not reachable inside the region")
 
     def ranked(region: VertexSet) -> int:
         got = memo.get(region)
         if got is not None:
             return got
         best = 1
-        for q in bits(region & forks):
-            if (adj[q] & region).bit_count() < 3:
+        for q, anchors in forks:
+            if not (region >> q) & 1 or (adj[q] & region).bit_count() < 3:
                 continue
             table: dict[int, int] = {}
-            for r in bits(region & sphere[q]):
-                sub = ranked(away(region, q, r))
-                step = first_step(region, q, r)
-                if sub > table.get(step, 0):
-                    table[step] = sub
+            for r, step, side in anchors:
+                if (region >> r) & 1:
+                    sub = ranked(region & side)
+                    if sub > table.get(step, 0):
+                        table[step] = sub
             if len(table) >= 3:
                 score = 1 + sorted(table.values(), reverse=True)[2]
                 if score > best:
@@ -223,16 +239,15 @@ def rank(g: Graph, ell: int) -> tuple[int, RankCertificate]:
     def build(region: VertexSet, level: int) -> RankCertificate:
         if level == 1:
             return RankCertificate(1, ell, (region & -region).bit_length() - 1, ())
-        for q in bits(region & forks):
-            if (adj[q] & region).bit_count() < 3:
+        for q, anchors in forks:
+            if not (region >> q) & 1 or (adj[q] & region).bit_count() < 3:
                 continue
             table: dict[int, tuple[int, VertexSet]] = {}
-            for r in bits(region & sphere[q]):
-                sub = away(region, q, r)
-                if ranked(sub) < level - 1:
-                    continue
-                step = first_step(region, q, r)
-                if step not in table:  # keep the lowest-numbered anchor
+            for r, step, side in anchors:
+                if not (region >> r) & 1 or step in table:
+                    continue  # keep the lowest-numbered anchor per direction
+                sub = region & side
+                if ranked(sub) >= level - 1:
                     table[step] = (r, sub)
             if len(table) < 3:
                 continue

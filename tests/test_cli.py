@@ -164,6 +164,34 @@ def test_envelope_encoder_edge_values():
         "by_level": {Level.HIGH: Name("\u00e9"), 2: True},
     }
     assert cli._encode_json(value) == _json_reference(value)
+
+    # lists the shape fast paths take, and near misses they must hand back
+    shapes = {
+        "ints": [[True, 1], [1, Level.HIGH], [0, -7, 10**30], list(range(300))],
+        "rows": [[[1, 2], [3]], [[], []], [(1, 2), [3, 4]], [[1, True]], [[1, 2], []], [[1.0, 2]]],
+        "tuples": ((1, 2), (3, 4)),
+        "dicts": [
+            [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}],
+            [{"b": 1, "a": True}, {"b": 2, "a": False}],
+            [{"a": 1, "b": None}, {"a": 2, "b": 3}],
+            [{"a": 1, "b": 0.5}, {"a": 2, "b": 3}],
+            [{"a": 1, "b": 2}, {"a": 3, "b": True}],
+            [{"a": 1, "b": 2}, {"a": 3, "b": None}],
+            [{"a": 1, "b": 2}, {"a": 3, "b": 0.5}],
+            [{"a": "x", "b": 2}, {"a": Name("y"), "b": 3}],
+            [{"a": "\"\\\n\u00e9%s", "b": 1}, {"a": "\ud800", "b": 2}],
+            [{"a": 1, "b": 2}, {"a": 3, "c": 4}],
+            [{"a": 1, "b": 2}, {"a": 3}],
+            [{"a": 1, "b": 2}, {"a": 3, "b": "x"}],
+            [{"%d": 1, "%%": 2}, {"%d": 3, "%%": 4}],
+            [{"a": 1}, {"a": 2}],
+            [{10: 1, 2: 2}, {10: 3, 2: 4}],
+            [{1.5: "x", 2: "y"}, {1.5: "z", 2: "w"}],
+            [{Name("b"): 1, "a": 2}, {"b": 3, "a": 4}],
+            [{"a": [1, 2], "b": 1}, {"a": [3, 4], "b": 2}],
+        ],
+    }
+    assert cli._encode_json(shapes) == _json_reference(shapes)
     with pytest.raises(TypeError):
         cli._encode_json({"x": {1, 2}})
     with pytest.raises(TypeError):

@@ -13,7 +13,6 @@ from lvcops.graphs import (
     Graph,
     OrderingKind,
     bits,
-    build_graph,
     chordal_peo,
     closed_ball,
     copwin_ordering,
@@ -81,10 +80,13 @@ def test_distances_path():
 
 
 def test_distance_inf_when_disconnected():
-    g = Graph(4, [(0, 1), (2, 3)])
+    edges = [(0, 1), (2, 3)]
+    g = Graph(4, edges)
     assert g.dist[0][2] == INF
     assert not g.is_connected()
-    assert len(g.components()) == 2
+    # one distinct reachable set per component
+    reached = {tuple(d != INF for d in row) for row in reference_distances(4, edges).values()}
+    assert len(reached) == 2
 
 
 def reference_distances(n: int, edges, sources=None) -> dict[int, list[int]]:
@@ -144,8 +146,9 @@ def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
 
 
 def test_tree_distances_match_adjacency_list_bfs():
-    # trees take their rows from the BFS parent's row; check them whole,
-    # up to the order cap
+    # trees take their rows from the parent's row, as bytes; check them
+    # whole, up to the order cap, and past it, where a path's distances
+    # no longer fit in a byte
     rng = random.Random(53)
     for n in (1, 2, 3, 4, 17, 64, 200, MAX_ORDER):
         for _ in range(3 if n < 100 else 1):
@@ -155,6 +158,7 @@ def test_tree_distances_match_adjacency_list_bfs():
         assert_distances(n, [(0, n - 1)] + [(i, i + 1) for i in range(1, n - 2)])  # 0 inside
         for centre in (0, n // 2):
             assert_distances(n, [(centre, v) for v in range(n) if v != centre])  # star
+    assert_distances(300, [(i, i + 1) for i in range(299)], sources=(0, 150, 299))
 
 
 def test_tree_edge_count_alone_is_no_tree():
@@ -214,10 +218,10 @@ def test_balls_match_distances():
     rng = random.Random(7)
     for _ in range(20):
         g = random_connected(rng, rng.randrange(2, 12), rng.randrange(0, 6))
-        r = rng.randrange(0, 4)
-        for v in range(g.n):
-            want = mask_of(w for w in range(g.n) if g.dist[v][w] <= r)
-            assert g.balls(r)[v] == want
+        for r in range(4):  # radius 1 reads the closed neighbourhoods
+            for v in range(g.n):
+                want = mask_of(w for w in range(g.n) if g.dist[v][w] <= r)
+                assert g.balls(r)[v] == want
 
 
 def test_induced_subgraph():
@@ -272,6 +276,19 @@ def test_chordal_examples():
     assert not is_chordal(complete_bipartite(2, 3))
 
 
+def assert_valid_peo(g: Graph, peo) -> None:
+    """Every vertex's later neighbours in the ordering form a clique."""
+    assert peo.kind is OrderingKind.SIMPLICIAL
+    assert sorted(peo.order) == list(range(g.n))
+    pos = {v: i for i, v in enumerate(peo.order)}
+    for i, v in enumerate(peo.order):
+        later = [w for w in bits(g.adj[v]) if pos[w] > i]
+        for a in later:
+            for b in later:
+                if a != b:
+                    assert (g.adj[a] >> b) & 1
+
+
 def test_peo_is_valid():
     """Every reported ordering satisfies the later-neighbours-clique rule."""
     rng = random.Random(23)
@@ -282,16 +299,38 @@ def test_peo_is_valid():
         if peo is None:
             continue
         found += 1
-        assert peo.kind is OrderingKind.SIMPLICIAL
-        assert sorted(peo.order) == list(range(g.n))
-        pos = {v: i for i, v in enumerate(peo.order)}
-        for i, v in enumerate(peo.order):
-            later = [w for w in bits(g.adj[v]) if pos[w] > i]
-            for a in later:
-                for b in later:
-                    if a != b:
-                        assert (g.adj[a] >> b) & 1
+        assert_valid_peo(g, peo)
     assert found > 5  # trees alone guarantee hits
+
+
+def chordal_by_elimination(n: int, edges) -> bool:
+    """A graph is chordal exactly when deleting simplicial vertices (whose
+    neighbours are pairwise adjacent) one at a time empties it (Fulkerson
+    and Gross, 1965).  Every chordal graph has a simplicial vertex and its
+    induced subgraphs are chordal, so any order of deletion decides it."""
+    nbrs = {v: set() for v in range(n)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    while nbrs:
+        simplicial = next(
+            (v for v, ns in nbrs.items() if all(b in nbrs[a] for a in ns for b in ns if a != b)),
+            None,
+        )
+        if simplicial is None:
+            return False
+        for w in nbrs.pop(simplicial):
+            nbrs[w].discard(simplicial)
+    return True
+
+
+def _connected_labelled_graphs(n: int):
+    pairs = list(combinations(range(n), 2))
+    for pick in range(1 << len(pairs)):
+        edges = [e for i, e in enumerate(pairs) if pick >> i & 1]
+        g = Graph(n, edges)
+        if g.is_connected():
+            yield g
 
 
 def test_trees_are_chordal():
@@ -299,6 +338,27 @@ def test_trees_are_chordal():
     for _ in range(25):
         g = random_connected(rng, rng.randrange(2, 14), 0)
         assert is_chordal(g)
+
+
+def test_chordality_matches_simplicial_elimination():
+    graphs = [g for n in range(1, 6) for g in _connected_labelled_graphs(n)]
+    assert len(graphs) == 772  # 1 + 1 + 4 + 38 + 728 connected labelled graphs
+    rng = random.Random(41)
+    graphs += [random_connected(rng, rng.randrange(3, 13), rng.randrange(1, 12)) for _ in range(300)]
+    assert all(len(g.edges) >= g.n for g in graphs[772:])  # each has a cycle
+    graphs.append(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]))  # m = n - 1, but no tree
+    verdicts = set()
+    for g in graphs:
+        want = chordal_by_elimination(g.n, g.edges)
+        assert is_chordal(g) == want, (g.n, g.edges)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    # trees answer without an ordering; the ordering itself still exists
+    for n in (2, 3, 7, 30, 100, MAX_ORDER):
+        for _ in range(3 if n < 100 else 1):
+            g = Graph(n, _random_tree_edges(rng, n))
+            assert is_chordal(g) and chordal_by_elimination(g.n, g.edges)
+            assert_valid_peo(g, chordal_peo(g))
 
 
 # -- dismantlability --------------------------------------------------------------
@@ -579,5 +639,5 @@ def test_load_accepts_the_order_cap():
 
 def test_key_stable_and_label_sensitive():
     g = cycle(4)
-    assert g.key() == build_graph(4, [(1, 0), (2, 1), (3, 2), (0, 3)]).key()
+    assert g.key() == Graph(4, [(1, 0), (2, 1), (3, 2), (0, 3)]).key()
     assert g.key() != path(4).key()

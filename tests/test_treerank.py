@@ -300,3 +300,26 @@ def test_pinned_rank_output(capsys):
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "b2f1ffdd3f9873b78310262caa5d2a0ff5e572ce1d9c7ef53c2740fc5002a264"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (
+            "verify --recipe randomtree:n=40,seed=3 --script tree1vis --ell 1",
+            "543db2d471891126007ec53152031ac369b6cf6db1390defff4a383afb4606df",
+        ),
+        (
+            "simulate --recipe randomtree:n=40,seed=3 --script tree1vis --ell 1 --variant see --seed 5",
+            "f3a285344b6a0647a0ef08c092f5e02e5050fef3b6a7f3bf15e53cfab6184e4e",
+        ),
+    ],
+    ids=["verify", "simulate"],
+)
+def test_pinned_script_output(capsys, argv, want):
+    """A cleaning report and a scripted playout on a 40-vertex random tree,
+    structured, as they read before the report and the envelope encoder
+    took their shape fast paths."""
+    assert main(argv.split() + ["--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == want
