@@ -266,13 +266,13 @@ def _encode_json(o, pad: str = "") -> str:
 
 
 # Shape fast paths for _encode_json.  A list of exact ints, a list of lists
-# of exact ints, or a list of dicts that share their str keys and hold exact
-# ints or strs is written with one %-template, made from cached per-item
-# templates, filled from all its scalars at once: %-formatting an int is
-# about twice as fast as int.__repr__ through map.  Only exact ints and strs
-# qualify, checked by type, so bools, None, floats and subclasses keep
-# json's own order of checks on the generic path; a helper returns None to
-# send its list there.
+# of exact ints, or a list of dicts that share their str keys and hold, per
+# key, exact ints, strs, bools or lists of exact ints is written with one
+# %-template, made from cached per-item templates, filled from all its
+# values at once: %-formatting an int is about twice as fast as
+# int.__repr__ through map.  Only these types qualify, checked by exact
+# type, so None, floats and subclasses keep json's own order of checks on
+# the generic path; a helper returns None to send its list there.
 
 
 @functools.lru_cache(maxsize=1024)
@@ -301,13 +301,23 @@ def _int_rows(rows: list, inner: str) -> str | None:
     return (",\n" + inner).join(map(_int_list_template, itertools.repeat(inner), map(len, rows))) % flat
 
 
+_COLUMN_KINDS = {int, str, bool, list}
+_JSON_BOOL = {True: "true", False: "false"}
+
+
 def _same_key_dicts(dicts: list, inner: str) -> str | None:
     """The items of a list of dicts that share one set of at least two str
-    keys and hold, per key, only exact ints or only strs."""
+    keys and hold, per key, only exact ints, only strs, only bools or only
+    lists of exact ints.  A last dict with fewer keys, such as the last
+    round of a game history, takes the generic path."""
     first = dicts[0]
     width = len(first)
-    if width < 2 or not set(map(type, first.values())) <= {int, str}:
+    if width < 2 or not set(map(type, first.values())) <= _COLUMN_KINDS:
         return None
+    last = None
+    if len(dicts) > 1 and len(dicts[-1]) < width:
+        last = dicts[-1]
+        dicts = dicts[:-1]
     if set(map(len, dicts)) != {width} or set(map(type, itertools.chain.from_iterable(dicts))) != {str}:
         return None
     keys = tuple(sorted(first))
@@ -315,14 +325,22 @@ def _same_key_dicts(dicts: list, inner: str) -> str | None:
         flat = list(itertools.chain.from_iterable(map(operator.itemgetter(*keys), dicts)))
     except KeyError:
         return None
+    pad = inner + "  "  # where a value of one of the dicts starts
     for i in range(width):
         column = flat[i::width]
         kinds = set(map(type, column))
         if kinds == {str}:
             flat[i::width] = map(_encode_str, column)
+        elif kinds == {bool}:
+            flat[i::width] = map(_JSON_BOOL.__getitem__, column)
+        elif kinds == {list}:
+            if not set(map(type, itertools.chain.from_iterable(column))) <= {int}:
+                return None
+            flat[i::width] = [_int_list_template(pad, len(c)) % tuple(c) for c in column]
         elif kinds != {int}:
             return None
-    return (",\n" + inner).join([_dict_template(inner, keys)] * len(dicts)) % tuple(flat)
+    out = (",\n" + inner).join([_dict_template(inner, keys)] * len(dicts)) % tuple(flat)
+    return out if last is None else out + ",\n" + inner + _encode_json(last, inner)
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -392,7 +410,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "radius": met.radius,
         "diameter": met.diameter,
         "center": list(met.center),
-        "is_tree": len(g.edges) == g.n - 1,
+        "is_tree": g.is_tree(),
         "is_chordal": is_chordal(g),
         "is_copwin": is_copwin(g),
         "domination": dom[1],

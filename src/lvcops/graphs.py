@@ -248,7 +248,8 @@ class Graph:
         return INF not in self.dist[0]
 
     def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == self.n - 1
+        """Connected with n - 1 edges; the edge count alone is not enough."""
+        return len(self.edges) == self.n - 1 and self.is_connected()
 
     def induced(self, mask: VertexSet) -> tuple["Graph", list[int]]:
         """Induced subgraph plus the old-vertex list (new label -> old)."""
@@ -266,14 +267,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
-
-
-def closed_ball(g: Graph, v: int, r: int) -> VertexSet:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    return g.balls(r)[v]
 
 
 # -- metrics ------------------------------------------------------------------
@@ -329,7 +322,7 @@ def chordal_peo(g: Graph) -> EliminationOrdering | None:
 
 
 def is_chordal(g: Graph) -> bool:
-    if len(g.edges) == g.n - 1 and g.is_connected():
+    if g.is_tree():
         return True  # a tree has no cycle, so no chordless one
     return chordal_peo(g) is not None
 
@@ -370,6 +363,8 @@ def copwin_ordering(g: Graph) -> EliminationOrdering | None:
 
 
 def is_copwin(g: Graph) -> bool:
+    if g.is_tree():
+        return True  # a leaf is a corner, so a tree dismantles leaf by leaf
     return copwin_ordering(g) is not None
 
 
@@ -379,17 +374,73 @@ def is_copwin(g: Graph) -> bool:
 def k_domination_number(g: Graph, r: int) -> int:
     """Minimum size of a set whose radius-r closed balls cover the graph.
 
-    Exact branch and bound: greedy cover for the upper bound; for the lower
-    bound the larger of a quotient (uncovered count over the widest reach)
-    and a packing (uncovered vertices with pairwise disjoint balls, each of
-    which needs a centre of its own).  It branches over the coverers of the
-    hardest uncovered vertex, which by symmetry of distance are its own
-    ball, and drops a coverer whose new coverage lies inside that of an
-    earlier kept one: swapping it for that one keeps any cover a cover.
-    Deterministic.
+    A tree takes Slater's leaves-up greedy, exact and linear in n (P. J.
+    Slater, "R-domination in graphs", J. ACM 23, 1976); any other graph
+    takes the exact branch and bound of _cover_search.  Deterministic.
     """
     if r < 0:
         raise ValueError("radius must be nonnegative")
+    if g.is_tree():
+        return _tree_cover(g, r)
+    return _cover_search(g, r)
+
+
+def _tree_cover(g: Graph, r: int) -> int:
+    """Radius-r domination number of a tree, rooted at vertex 0.
+
+    Walks the tree in reverse BFS order keeping, per vertex, far: the
+    distance to the farthest vertex below it that no centre covers yet
+    (-INF when there is none), and near: the distance to the nearest centre
+    below it.  When far + near <= r that centre covers them all.  Otherwise,
+    when far reaches r, only a centre at this vertex can still cover the
+    farthest one, and no centre covers more of what is left above it.  An
+    uncovered vertex left at the root takes one more centre there.
+    """
+    n, adj = g.n, g.adj
+    r = min(r, n)  # no distance reaches n, and INF must stay out of reach
+    parent = [0] * n
+    order = [0]
+    seen = 1
+    for v in order:  # the list grows as it is walked: a BFS order
+        kids = adj[v] & ~seen
+        seen |= kids
+        while kids:
+            low = kids & -kids
+            u = low.bit_length() - 1
+            parent[u] = v
+            order.append(u)
+            kids ^= low
+    far = [0] * n
+    near = [INF] * n
+    centres = 0
+    for v in reversed(order[1:]):
+        f = far[v]
+        c = near[v]
+        if f + c <= r:
+            f = -INF
+        elif f == r:
+            centres += 1
+            f, c = -INF, 0
+        p = parent[v]
+        if f + 1 > far[p]:
+            far[p] = f + 1
+        if c + 1 < near[p]:
+            near[p] = c + 1
+    # the root counts itself as uncovered, so far[0] >= 0
+    return centres + (far[0] + near[0] > r)
+
+
+def _cover_search(g: Graph, r: int) -> int:
+    """Minimum radius-r cover size of any graph, by exact branch and bound.
+
+    Greedy cover for the upper bound; for the lower bound the larger of a
+    quotient (uncovered count over the widest reach) and a packing
+    (uncovered vertices with pairwise disjoint balls, each of which needs a
+    centre of its own).  It branches over the coverers of the hardest
+    uncovered vertex, which by symmetry of distance are its own ball, and
+    drops a coverer whose new coverage lies inside that of an earlier kept
+    one: swapping it for that one keeps any cover a cover.
+    """
     ball = g.balls(r)
     full = g.full
     if max(ball, default=0) == full:

@@ -429,7 +429,13 @@ def profile(
     parts: Iterable[str] = ALL_PARTS,
     budget: int = DEFAULT_BUDGET,
 ) -> Profile:
-    """Compute the requested game numbers and wrap them in a Profile."""
+    """Compute the requested game numbers and wrap them in a Profile.
+
+    Each game is solved once: the classical game is the capture game at
+    radius diameter, and the blind one the capture game at radius 0, so a
+    number is kept under its resolved spec and reused when a requested
+    radius asks for the same game.
+    """
     from .graphs import k_domination_number
 
     radii = tuple(sorted(set(radii)))
@@ -439,18 +445,26 @@ def profile(
         raise ValueError(f"unknown profile parts {sorted(unknown)}")
     classical = blind = delayed = domination = None
     capture_at = see_at = monotone_at = domination_at = None
+    numbers: dict[GameSpec, int] = {}
+
+    def number(ell: int, variant: Variant) -> int:
+        game = GameSpec(ell, 1, variant).resolve(g)
+        if game not in numbers:
+            numbers[game] = cop_number(g, ell, variant, budget=budget)
+        return numbers[game]
+
     if "classical" in parts:
-        classical = cop_number(g, 0, Variant.CLASSICAL, budget=budget)
+        classical = number(0, Variant.CLASSICAL)
     if "blind" in parts:
-        blind = cop_number(g, 0, Variant.CAPTURE, budget=budget)
+        blind = number(0, Variant.CAPTURE)
     if "delayed" in parts:
-        delayed = cop_number(g, 0, Variant.TIME_DELAYED, budget=budget)
+        delayed = number(0, Variant.TIME_DELAYED)
     if "capture" in parts:
-        capture_at = {r: cop_number(g, r, Variant.CAPTURE, budget=budget) for r in radii}
+        capture_at = {r: number(r, Variant.CAPTURE) for r in radii}
     if "see" in parts:
-        see_at = {r: cop_number(g, r, Variant.SEE, budget=budget) for r in radii}
+        see_at = {r: number(r, Variant.SEE) for r in radii}
     if "monotone" in parts:
-        monotone_at = {r: cop_number(g, r, Variant.MONOTONE_CAPTURE, budget=budget) for r in radii}
+        monotone_at = {r: number(r, Variant.MONOTONE_CAPTURE) for r in radii}
     if "see" in parts or "domination" in parts:
         domination_at = {r: k_domination_number(g, r) for r in radii}
     if "domination" in parts:

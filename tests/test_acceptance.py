@@ -30,7 +30,6 @@ from lvcops.families import (
 from lvcops.graphs import (
     Graph,
     bits,
-    closed_ball,
     domination_number,
     find_retraction,
     metrics,
@@ -287,7 +286,7 @@ def test_criterion_08_inequality_chains_and_cut_vertex_bound():
             if g.n < 3 or len(_components(g, 1 << v)) < 2:
                 continue
             for ell in (1, 2):
-                comps = _components(g, closed_ball(g, v, ell))
+                comps = _components(g, g.balls(ell)[v])
                 if not comps:
                     continue
                 bound = 1 + max(cop_number(_induced(g, comp), ell) for comp in comps)

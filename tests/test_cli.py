@@ -189,6 +189,20 @@ def test_envelope_encoder_edge_values():
             [{1.5: "x", 2: "y"}, {1.5: "z", 2: "w"}],
             [{Name("b"): 1, "a": 2}, {"b": 3, "a": 4}],
             [{"a": [1, 2], "b": 1}, {"a": [3, 4], "b": 2}],
+            # bool and int-list columns, and a shorter last dict
+            [{"a": [1, 2], "b": True}, {"a": [], "b": False}, {"a": [3]}],
+            [{"a": [1, 2], "b": True}, {"a": [3], "b": False}],
+            [{"a": [1, True], "b": 1}, {"a": [2], "b": 2}],
+            [{"a": [1.5], "b": 1}, {"a": [2], "b": 2}],
+            [{"a": [[1]], "b": 1}, {"a": [[2]], "b": 2}],
+            [{"a": (1, 2), "b": 1}, {"a": (3,), "b": 2}],
+            [{"a": [1], "b": 1}, {"a": 2, "b": 2}],
+            [{"a": 1, "b": True}, {"a": 2, "b": 1}],
+            [{"a": 1, "b": 2}, {"a": 3}, {"a": 4, "b": 5}],
+            [{"a": 1, "b": 2}, {"a": 3, "b": 4, "c": 5}],
+            [{"a": 1, "b": 2}, {"c": None}],
+            [{"a": 1, "b": 2}, {}],
+            [{"a": 1, "b": 2, "c": [3]}, {"a": 4, "b": 5, "c": [6]}, {"b": 0.5}],
         ],
     }
     assert cli._encode_json(shapes) == _json_reference(shapes)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -13,8 +13,8 @@ from lvcops.graphs import (
     Graph,
     OrderingKind,
     bits,
+    _cover_search,
     chordal_peo,
-    closed_ball,
     copwin_ordering,
     domination_number,
     dump_json,
@@ -203,15 +203,6 @@ def test_bits_and_mask_roundtrip():
     for _ in range(50):
         vs = sorted(rng.sample(range(30), rng.randrange(1, 10)))
         assert list(bits(mask_of(vs))) == vs
-
-
-def test_closed_ball_sizes():
-    g = cycle(5)
-    assert closed_ball(g, 0, 1).bit_count() == 3
-    assert closed_ball(g, 0, 2) == g.full
-    assert closed_ball(g, 0, 0) == 1
-    with pytest.raises(ValueError):
-        closed_ball(g, 0, -1)
 
 
 def test_balls_match_distances():
@@ -533,6 +524,42 @@ def slater_tree_domination(g: Graph, r: int) -> int:
     return centres
 
 
+def prufer_trees(n: int):
+    """Every labelled tree on n vertices, one per Prüfer sequence."""
+    if n == 1:
+        yield Graph(1, [])
+        return
+    for seq in product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        for v in seq:
+            leaf = degree.index(1)  # the smallest leaf left
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(v for v in range(n) if degree[v] == 1))
+        yield Graph(n, edges)
+
+
+def assert_tree_paths(g: Graph, radii, oracles) -> None:
+    """The tree answers of is_copwin and k_domination_number against the
+    corner search and the given domination oracles."""
+    assert g.is_tree() and is_copwin(g) and copwin_ordering(g) is not None, g.edges
+    for r in radii:
+        got = k_domination_number(g, r)
+        for oracle in oracles:
+            assert got == oracle(g, r), (g.n, g.edges, r, oracle.__name__)
+
+
+def test_tree_paths_match_oracles_on_every_small_labelled_tree():
+    trees = [g for n in range(1, 7) for g in prufer_trees(n)]
+    assert len(trees) == 1442 and len({(g.n, g.edges) for g in trees}) == 1442
+    for g in trees:
+        assert_tree_paths(g, range(4), (_cover_search, slater_tree_domination))
+
+
 def test_tree_domination_matches_greedy():
     # bushy trees (uniform parent) and stringy ones (parent among the last
     # few vertices), up to the order cap
@@ -541,8 +568,18 @@ def test_tree_domination_matches_greedy():
         n = rng.randrange(2, 257)
         span = n if i % 2 else 4
         g = Graph(n, [(v, rng.randrange(max(0, v - span), v)) for v in range(1, n)])
-        for r in (1, 2, 3):
-            assert k_domination_number(g, r) == slater_tree_domination(g, r), (n, g.edges, r)
+        assert_tree_paths(g, (0, 1, 2, 3), (_cover_search, slater_tree_domination))
+
+
+def test_tree_paths_skip_near_misses():
+    # a triangle plus an isolated vertex has n - 1 edges but is no tree
+    g = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    assert not g.is_tree() and not is_copwin(g) and is_chordal(g)
+    assert [k_domination_number(g, r) for r in range(4)] == [4, 2, 2, 2]
+    for g, want in ((Graph(1, []), [1, 1, 1, 1]), (path(2), [2, 1, 1, 1])):
+        assert g.is_tree() and is_copwin(g) and is_chordal(g)
+        assert [k_domination_number(g, r) for r in range(4)] == want
+        assert [_cover_search(g, r) for r in range(4)] == want
 
 
 def test_domination_scales_past_subset_enumeration():

@@ -730,6 +730,41 @@ def test_profile_parts_selection():
         profile(path(5), (1,), parts=("nope",))
 
 
+def _counting_cop_number(monkeypatch) -> list[GameSpec]:
+    """Record the resolved game of every cop_number call profile makes."""
+    from lvcops import solver
+
+    games = []
+
+    def counting(g, ell, variant=Variant.CAPTURE, *, budget=solver.DEFAULT_BUDGET):
+        games.append(GameSpec(ell, 1, variant).resolve(g))
+        return cop_number(g, ell, variant, budget=budget)
+
+    monkeypatch.setattr(solver, "cop_number", counting)
+    return games
+
+
+def test_profile_solves_each_resolved_game_once(monkeypatch):
+    # C5 has diameter 2: the classical game is the capture game at radius 2,
+    # and the blind game is the capture game at radius 0
+    games = _counting_cop_number(monkeypatch)
+    p = profile(cycle(5), (0, 1, 2))
+    assert len(games) == len(set(games)) == 10
+    assert p.classical == p.capture_at[2] and p.blind == p.capture_at[0]
+
+
+def test_profile_equals_separate_cop_numbers():
+    radii = (0, 1, 2)
+    for g in _oracle_graphs():
+        p = profile(g, radii)
+        assert p.classical == cop_number(g, 0, Variant.CLASSICAL), g.edges
+        assert p.blind == cop_number(g, 0, Variant.CAPTURE), g.edges
+        assert p.delayed == cop_number(g, 0, Variant.TIME_DELAYED), g.edges
+        for got, variant in ((p.capture_at, Variant.CAPTURE), (p.see_at, Variant.SEE),
+                             (p.monotone_at, Variant.MONOTONE_CAPTURE)):
+            assert got == {r: cop_number(g, r, variant) for r in radii}, (g.edges, variant)
+
+
 def test_search_witness_basic():
     found = search_witness(
         lambda pr: pr.capture_at[1] == 2,
