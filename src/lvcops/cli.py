@@ -98,6 +98,18 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+MAX_WORKERS = 64
+
+
+def _worker_count(text: str) -> int:
+    """argparse type for --workers: refused above MAX_WORKERS before any
+    candidate is drawn."""
+    value = _at_least_one(text)
+    if value > MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_WORKERS}, got {value}")
+    return value
+
+
 def _vertex_count(text: str) -> int:
     """argparse type for a graph order: refused above the order cap before
     any graph is built."""
@@ -133,9 +145,10 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--workers",
-        type=_at_least_one,
+        type=_worker_count,
         default=1,
-        help="accepted for compatibility; solves run serially in one thread",
+        help=f"processes that screen witness candidates, at most {MAX_WORKERS} and no more"
+        " than the usable CPUs; other commands run serially and ignore it",
     )
 
 
@@ -601,16 +614,14 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         limit = 1
     else:
         # needing two cops to capture is vanishingly rare below eight
-        # vertices, so every draw uses the full admissible order
-        def stream():
-            i = 0
-            while True:
-                yield random_copwin_graph(args.max_n, seed=args.seed + i)
-                i += 1
+        # vertices, so every draw uses the full admissible order; a draw
+        # depends on its index alone, so worker processes can share the
+        # stream out by index
+        def candidates(i: int) -> Graph:
+            return random_copwin_graph(args.max_n, seed=args.seed + i)
 
-        candidates = stream()
         limit = args.limit
-    res = search_witness(hit, candidates, limit=limit, profiler=profiler)
+    res = search_witness(hit, candidates, limit=limit, profiler=profiler, workers=args.workers)
     found = res.graph is not None
     results = {
         "found": found,

@@ -41,11 +41,12 @@ budgeted runs are reproducible too.
 from __future__ import annotations
 
 import itertools
+import os
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .engine import (
     DEL,
@@ -494,21 +495,34 @@ class WitnessResult:
 
 def search_witness(
     predicate: Callable[[Profile], bool],
-    candidates: Iterator[Graph],
+    candidates: Iterator[Graph] | Callable[[int], Graph],
     *,
     limit: int,
     profiler: Callable[[Graph], Profile | None] | None = None,
     radii: Iterable[int] = (1,),
     budget: int = DEFAULT_BUDGET,
+    workers: int = 1,
 ) -> WitnessResult:
     """First candidate whose profile satisfies the predicate.
 
-    The profiler may return None to discard a candidate cheaply, and a
-    candidate whose profile blows the solve budget is skipped rather than
-    guessed at.  Every drawn candidate counts against the limit.
+    candidates is an iterator of graphs, or an indexed stream: a function
+    from a stream index to that index's candidate, called for the indices
+    0, ..., limit - 1.  The profiler may return None to discard a candidate
+    cheaply, and a candidate whose profile blows the solve budget is skipped
+    rather than guessed at.  Every drawn candidate counts against the limit.
+
+    An indexed stream with workers > 1 is screened in several processes
+    (see _worker_processes and _search_forked), and the result is the
+    serial one, provided a draw depends on its index alone and a screen on
+    its graph alone.
     """
     if profiler is None:
         profiler = lambda h: profile(h, radii, budget=budget)
+    if callable(candidates):
+        procs = _worker_processes(workers, limit)
+        if procs > 1:
+            return _search_forked(predicate, candidates, limit, profiler, procs)
+        candidates = map(candidates, range(limit))
     tried = skipped = 0
     for g in candidates:
         if tried >= limit:
@@ -524,6 +538,158 @@ def search_witness(
         if predicate(prof):
             return WitnessResult(g, prof, tried, skipped)
     return WitnessResult(None, None, tried, skipped)
+
+
+def _worker_processes(workers: int, limit: int) -> int:
+    """How many processes screen an indexed stream of limit candidates: at
+    most workers, one per usable CPU and one per candidate.  Only one where
+    os.fork is missing, or where another thread runs: fork copies only the
+    calling thread, so a lock another thread holds would stay locked in the
+    child."""
+    if workers < 2 or not hasattr(os, "fork"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    return min(workers, _usable_cpus(), limit)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Each process screens _BLOCK of its own candidates per round.  A round of a
+# few tens of milliseconds makes the per-round exchange negligible and keeps
+# the parent's work after a decided round short.
+_BLOCK = 64
+# what a process reports for each candidate it screens, one byte each
+_REJECTED, _SKIPPED, _HIT, _RAISED = b"rshx"
+
+
+def _search_forked(
+    predicate: Callable[[Profile], bool],
+    draw: Callable[[int], Graph],
+    limit: int,
+    profiler: Callable[[Graph], Profile | None],
+    procs: int,
+) -> WitnessResult:
+    """search_witness over draw(0), ..., draw(limit - 1) in procs processes.
+
+    Process p (the parent is 0, the rest are forked) builds and screens
+    only the indices i with i % procs == p, in rounds of procs * _BLOCK
+    consecutive indices, and stops at its first hit or exception, since no
+    later index of its can come first.  A child writes one byte per index
+    down a pipe, flushes it at the end of each round and goes on without
+    waiting.  After each of its own rounds the parent reads the children's
+    bytes for that round and walks the round's indices in order, as the
+    serial loop does.  When a child's hit or exception decides the search,
+    the parent screens that index again to get the graph and profile, or
+    to raise the exception itself; draws and screens depend on the index
+    alone, so nothing else crosses the pipe.  tried, skipped, the hit and
+    the exception are the serial ones.  The parent screens a share fixed
+    by the stream alone, and does at most one round of work past the
+    deciding index.
+
+    A child writes nothing but its pipe and leaves by os._exit.  The parent
+    kills every child still running when it returns or raises, and reaps
+    them all before it does.
+    """
+    import gc
+    import signal
+
+    span = procs * _BLOCK
+    rounds = range(0, limit, span)
+
+    def screen(first: int, stop: int, codes: bytearray):
+        """Screen first, first + procs, ... below stop, a code per index
+        into codes, up to the first hit, returned as (graph, profile), or
+        the first exception, returned; None if neither comes."""
+        for i in range(first, stop, procs):
+            try:
+                g = draw(i)
+                prof = profiler(g)
+                hit = prof is not None and predicate(prof)
+            except BudgetExceeded:
+                codes.append(_SKIPPED)
+                continue
+            except Exception as exc:
+                codes.append(_RAISED)
+                return exc
+            if hit:
+                codes.append(_HIT)
+                return g, prof
+            codes.append(_REJECTED)
+        return None
+
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe
+    try:
+        for p in range(1, procs):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    # the child's collections skip the inherited heap, so
+                    # they do not copy its pages
+                    gc.freeze()
+                    os.close(r)
+                    with open(w, "wb") as pipe:
+                        for lo in rounds:
+                            codes = bytearray()
+                            end = screen(lo + p, min(lo + span, limit), codes)
+                            pipe.write(codes)
+                            pipe.flush()
+                            if end is not None:
+                                break
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[pid] = open(r, "rb")
+        tried = skipped = 0
+        for lo in rounds:
+            hi = min(lo + span, limit)
+            own = bytearray()
+            end = screen(lo, hi, own)
+            shares = [own]
+            for p, (pid, pipe) in enumerate(children.items(), 1):
+                want = len(range(lo + p, hi, procs))
+                codes = pipe.read(want)
+                if len(codes) < want and not (codes and codes[-1] in (_HIT, _RAISED)):
+                    raise ChildProcessError(f"witness worker {pid} ended before it screened its candidates")
+                shares.append(codes)
+            for i in range(lo, hi):
+                p = (i - lo) % procs
+                code = shares[p][(i - lo) // procs]
+                tried += 1
+                if code == _SKIPPED:
+                    skipped += 1
+                elif code != _REJECTED:
+                    if p:
+                        end = screen(i, i + 1, bytearray())
+                        if end is None:
+                            raise ChildProcessError(f"witness candidate {i} screened differently in a worker")
+                    if isinstance(end, BaseException):
+                        raise end
+                    return WitnessResult(end[0], end[1], tried, skipped)
+        return WitnessResult(None, None, tried, skipped)
+    finally:
+        for pid, pipe in children.items():
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
 
 
 # -- playable policies out of a solve -------------------------------------------

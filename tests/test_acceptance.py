@@ -384,6 +384,9 @@ def test_criterion_11_time_delay_never_beats_full_information():
 
 def test_criterion_12_worker_count_determinism():
     assert _WORKER1, "criteria 1, 3 and 4 populate the invocation cache"
+    # criterion 9's witness, 269 candidates into stream seed 14000: the one
+    # command that screens in worker processes
+    _run1(["witness", "--ell", "1", "--max-n", "8", "--seed", "14000", "--limit", "400"])
     diffs = []
     for key, first in sorted(_WORKER1.items()):
         argv = list(key)

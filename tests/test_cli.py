@@ -7,6 +7,8 @@ import contextlib
 import enum
 import io
 import json
+import os
+import re
 import time
 from pathlib import Path
 
@@ -399,8 +401,8 @@ def test_witness_max_n_is_capped_at_the_order_cap(capsys, monkeypatch, max_n, co
 
     drawn = []
 
-    def search(hit, candidates, *, limit, profiler):
-        drawn.append(next(candidates).n)
+    def search(hit, candidates, *, limit, profiler, workers):
+        drawn.append(candidates(0).n)
         return WitnessResult(None, None, 1, 0)
 
     monkeypatch.setattr(cli, "search_witness", search)
@@ -413,6 +415,157 @@ def test_witness_max_n_is_capped_at_the_order_cap(capsys, monkeypatch, max_n, co
         ]
     else:
         assert drawn == [MAX_ORDER] and err == ""
+
+
+# -- witness worker processes ------------------------------------------------------
+
+
+def _cpus(monkeypatch, count: int) -> None:
+    """Make `count` CPUs usable, so --workers up to count starts that many
+    processes on any machine."""
+    from lvcops import solver
+
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: count)
+
+
+WITNESS_STREAMS = {
+    # (argv, exit code, tried, skipped)
+    "miss": (["--seed", "0", "--limit", "300"], 2, 300, 0),
+    "hit": (["--seed", "14000", "--limit", "400"], 0, 269, 0),  # the criterion-9 witness
+    "budget skips": (["--seed", "0", "--limit", "200", "--budget", "60"], 2, 200, 27),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WITNESS_STREAMS))
+def test_witness_workers_are_byte_identical(capsys, monkeypatch, case):
+    extra, want_code, tried, skipped = WITNESS_STREAMS[case]
+    _cpus(monkeypatch, 3)
+    argv = ["witness", "--ell", "1", "--max-n", "8", "--format", "structured"] + extra
+    outs = []
+    for workers in (1, 2, 3):
+        code, out, err = run(capsys, argv + ["--workers", str(workers)])
+        assert (code, err) == (want_code, ""), workers
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    res = json.loads(outs[0])["results"]
+    assert (res["found"], res["tried"], res["skipped"]) == (want_code == 0, tried, skipped)
+
+
+def _no_fork():
+    raise AssertionError("forked")
+
+
+def test_workers_above_the_cap_exit_before_any_fork(capsys, monkeypatch):
+    monkeypatch.setattr(os, "fork", _no_fork)
+    code, out, err = run(capsys, ["witness", "--ell", "1", "--limit", "5", "--workers", "100000"])
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"lvcops witness: error: argument --workers: must be at most {cli.MAX_WORKERS}, got 100000"
+    ]
+
+
+def test_witness_stays_serial_while_another_thread_runs(capsys, monkeypatch):
+    # a forked child would inherit any lock the other thread holds
+    import threading
+
+    monkeypatch.setattr(os, "fork", _no_fork)
+    _cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        code, env = run_json(capsys, ["witness", "--ell", "1", "--seed", "14000", "--limit", "400",
+                                      "--workers", "2"])
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert code == 0 and env["results"]["tried"] == 269
+
+
+def test_worker_processes_are_capped_by_cpus_and_candidates(capsys, monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    argv = ["witness", "--ell", "1", "--max-n", "8", "--format", "structured"]
+    _cpus(monkeypatch, 64)
+    assert run(capsys, argv + ["--limit", "2", "--workers", str(cli.MAX_WORKERS)])[0] == 2
+    assert len(forks) == 1  # two candidates: the parent and one child
+    _cpus(monkeypatch, 2)
+    forks.clear()
+    assert run(capsys, argv + ["--limit", "40", "--workers", "3"])[0] == 2
+    assert len(forks) == 1  # two usable CPUs
+
+
+def test_witness_hit_stops_the_workers(capsys, monkeypatch):
+    # criterion 9's witness is candidate 268 of stream seed 14000, screened
+    # by the parent at two workers; the child stalls from the next round on,
+    # and the parent must stop it, not wait for it
+    from lvcops import solver
+
+    _cpus(monkeypatch, 2)
+    parent = os.getpid()
+    span = 2 * solver._BLOCK
+    stall_from = 14000 + -(-269 // span) * span
+    real = cli.random_copwin_graph
+
+    def draw(max_n, seed):
+        if os.getpid() != parent and seed >= stall_from:
+            time.sleep(20)
+            os._exit(0)  # a parent that waits for the child is slow, not stuck
+        return real(max_n, seed=seed)
+
+    monkeypatch.setattr(cli, "random_copwin_graph", draw)
+    t0 = time.perf_counter()
+    code, env = run_json(capsys, ["witness", "--ell", "1", "--seed", "14000", "--limit", "100000",
+                                  "--workers", "2"])
+    assert code == 0 and env["results"]["tried"] == 269
+    assert time.perf_counter() - t0 < 10
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failure", ["everywhere", "in the child", "child exits"])
+def test_witness_workers_leave_no_process(capsys, monkeypatch, failure):
+    from lvcops.families import random_copwin_graph
+
+    _cpus(monkeypatch, 2)
+    argv = ["witness", "--ell", "1", "--max-n", "8", "--seed", "0", "--limit", "40", "--workers", "2"]
+    assert run(capsys, argv)[0] == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    # candidate 5 reaches the capture screen, and at two workers the child
+    # screens the odd candidates
+    target = random_copwin_graph(8, seed=5).key()
+    parent = os.getpid()
+    real = cli.profile
+
+    def screen(h, radii, **kw):
+        if kw.get("parts") == ("capture",) and h.key() == target:
+            if failure == "everywhere":
+                raise ValueError("screen failed on candidate 5")
+            if os.getpid() != parent:
+                if failure == "child exits":
+                    os._exit(3)
+                raise ValueError("screen failed in the child")
+        return real(h, radii, **kw)
+
+    monkeypatch.setattr(cli, "profile", screen)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    (line,) = err.splitlines()
+    assert re.fullmatch({
+        "everywhere": r"error: screen failed on candidate 5",
+        "in the child": r"error: witness candidate 5 screened differently in a worker",
+        "child exits": r"error: witness worker \d+ ended before it screened its candidates",
+    }[failure], line)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _count_solves(monkeypatch) -> list[tuple]:
@@ -479,6 +632,7 @@ def test_domination_solves_each_radius_once(capsys, monkeypatch):
         ["solve", "--recipe", "cycle:4", "--ell", "1", "--budget", "0"],
         ["profile", "--recipe", "cycle:4", "--budget", "-3"],
         ["witness", "--ell", "1", "--limit", "1", "--workers", "two"],
+        ["witness", "--ell", "1", "--limit", "1", "--workers", "65"],
         ["simulate", "--recipe", "path:4", "--ell", "1", "--cops", "1", "--rounds", "-1"],
         ["witness", "--ell", "1", "--limit", "-5"],
     ],

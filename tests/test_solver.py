@@ -800,6 +800,40 @@ def test_search_witness_profiler_filter():
     assert calls == [3, 4, 5]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_search_witness_indexed_stream_keeps_the_serial_order(monkeypatch, workers):
+    # every process stops at its own first hit or error, and the parent
+    # merges the outcomes in stream order: an earlier hit beats a later
+    # error, an earlier error beats a later hit, and budget skips before
+    # the deciding index are counted
+    from lvcops import solver
+
+    monkeypatch.setattr(solver, "_usable_cpus", lambda: 3)
+    graphs = [path(3), cycle(4), path(4), cycle(5), path(5)]
+
+    def run(hit_at, error_at, limit=len(graphs)):
+        def prof(g):
+            i = graphs.index(g)
+            if i == error_at:
+                raise ValueError(f"candidate {i}")
+            if i == 1:
+                raise BudgetExceeded("too big")
+            return None if i != hit_at else profile(g, (1,), parts=("capture",))
+
+        return search_witness(
+            lambda pr: True, graphs.__getitem__, limit=limit, profiler=prof, workers=workers
+        )
+
+    res = run(hit_at=3, error_at=4)
+    assert (res.graph.edges, res.tried, res.skipped) == (graphs[3].edges, 4, 1)
+    with pytest.raises(ValueError, match="candidate 2"):
+        run(hit_at=3, error_at=2)
+    res = run(hit_at=None, error_at=None)
+    assert (res.graph, res.tried, res.skipped) == (None, 5, 1)
+    res = run(hit_at=None, error_at=4, limit=4)
+    assert (res.graph, res.tried, res.skipped) == (None, 4, 1)
+
+
 def test_outcome_public_dict_shape():
     out = solve(path(3), GameSpec(1, 1))
     d = out.to_public_dict()
