@@ -183,11 +183,18 @@ class _Ctx:
     visibility masks of the tuple cops_of[a], computed once, and moves(c)
     lists the action ids one half-move from c.  grown memoizes grow() of
     each unseen territory.
+
+    moves(c) is memoized per tuple, and the id of each raw (unsorted)
+    product tuple is memoized across tuples, so a product tuple is sorted
+    once per context rather than once per cops tuple whose product holds
+    it.  The order stays that of first occurrence in the product: the
+    memo maps a raw tuple to the id its sorted form would get, and the
+    ids are deduped in product order.
     """
 
     __slots__ = (
         "g", "k", "see", "mono", "delayed", "adjc", "grown", "_balls",
-        "cb", "ss", "ps", "cmask", "smask", "_cid", "cops_of", "occ", "vis", "_moves",
+        "cb", "ss", "ps", "cmask", "smask", "_cid", "cops_of", "occ", "vis", "_moves", "_raw",
     )
 
     def __init__(self, g: Graph, spec: GameSpec) -> None:
@@ -209,6 +216,7 @@ class _Ctx:
         self.occ: list[VertexSet] = []
         self.vis: list[VertexSet] = []
         self._moves: dict[int, tuple[int, ...]] = {}
+        self._raw: dict[tuple[int, ...], int] = {}
 
     def cid(self, cops: tuple[int, ...]) -> int:
         """The id of a sorted cops tuple, assigned on first sight."""
@@ -230,11 +238,19 @@ class _Ctx:
         if hit is not None:
             return hit
         cid = self.cid
-        per_cop = [sorted(bits(self.adjc[v])) for v in self.cops_of[c]]
-        out = {}
-        for combo in itertools.product(*per_cop):
-            out[cid(tuple(sorted(combo)))] = None
-        out = self._moves[c] = tuple(out)
+        cops = self.cops_of[c]
+        if self.k == 1:
+            # the product of one ascending list: distinct 1-tuples, in order
+            out = self._moves[c] = tuple([cid((v,)) for v in bits(self.adjc[cops[0]])])
+            return out
+        raw = self._raw
+        ids = []
+        for combo in itertools.product(*[list(bits(self.adjc[v])) for v in cops]):
+            a = raw.get(combo)
+            if a is None:
+                a = raw[combo] = cid(tuple(sorted(combo)))
+            ids.append(a)
+        out = self._moves[c] = tuple(dict.fromkeys(ids))
         return out
 
     def encode(self, key) -> int:

@@ -21,7 +21,14 @@ Layout of a solve:
      successor count, its state and its action id, plus per-state arrays
      of the slots that wait on that state.  The discovery order, the state
      count, and everything derived from them are fixed by the graph and
-     the spec alone;
+     the spec alone.  A sighted (VIS) state's row for an action depends on
+     the evader's vertex and the action, not on the cops tuple it is
+     played from, so it is built once per solve and kept as its
+     successors' rows; a later state with the same vertex and action reads
+     it instead of calling the kernel.  Its successors were interned when
+     the row was first built, so a read interns nothing, and the interning
+     order, budget stops and first-completing actions are those of a
+     solve that expands every row;
   3. propagate wins wave-synchronously over the slots.  A state's wave is
      the number of cop moves needed against the worst adversary; the
      recorded action is the first to complete, under a fixed enumeration
@@ -235,12 +242,52 @@ def solve(
     moves = ctx.moves
     cmask = ctx.cmask
     get = index.get
+    tmask, vtag = 3 << ctx.cb, VIS << ctx.cb
+    # A VIS row depends on the evader's vertex and the action alone, so it
+    # is built and interned once per solve: key ^ c | a (the key with its
+    # cops field replaced by the action id) -> the row's successor rows.
+    vis_rows: dict[int, tuple[int, ...]] = {}
+    vis_get = vis_rows.get
     lo, hi = 0, len(keys)
     while lo < hi:
         wave_sizes.append(hi - lo)
         for i in range(lo, hi):
             key = keys[i]
-            rows = _expand(ctx, key, moves(key & cmask))
+            c = key & cmask
+            if key & tmask == vtag:
+                acts = moves(c)
+                base = key ^ c
+                rows = [vis_get(base | a) for a in acts]
+                if None in rows:
+                    missing = [a for a, row in zip(acts, rows) if row is None]
+                    for a, succ_keys in _expand(ctx, key, missing):
+                        row = []
+                        for sk in succ_keys:
+                            j = get(sk)
+                            if j is None:
+                                j = len(keys)
+                                if j >= budget:
+                                    return inconclusive()
+                                index[sk] = j
+                                keys.append(sk)
+                                preds.append(array("i"))
+                            row.append(j)
+                        vis_rows[base | a] = tuple(row)
+                    rows = [vis_rows[base | a] for a in acts]
+                if () in rows:
+                    chosen.append(acts[rows.index(())])
+                    seeds.append(i)
+                    continue
+                chosen.append(-1)
+                for a, row in zip(acts, rows):
+                    slot = len(remaining)
+                    remaining.append(len(row))
+                    slot_state.append(i)
+                    slot_action.append(a)
+                    for j in row:
+                        preds[j].append(slot)
+                continue
+            rows = _expand(ctx, key, moves(c))
             win = -1
             for a, succ_keys in rows:
                 if not succ_keys:
