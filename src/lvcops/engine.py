@@ -25,11 +25,13 @@ own tag so the two information models cannot be mixed up.
 The rules live in one place, the transition kernel below: _initial_keys
 (the evader's replies to an opening placement) and _expand (one full round
 per cop action) over (cops, tag, payload, snapshot) keys, each packed into
-one int by the kernel's context (_Ctx).  The solver searches over the
-kernel; initial_branches, cop_turn, robber_turn and round_branches are thin
-views of it for the referee and the policies, decoding the kernel's ints
-into BeliefStates.  A view returns the ongoing states only: a branch the
-cops win is dropped, so an empty tuple means the cops won on every branch.
+one int by the kernel's context (_Ctx).  A round names its sighted
+successors by a vertex mask, which _vis_keys spells out as keys.  The
+solver searches over the kernel; initial_branches, cop_turn, robber_turn
+and round_branches are thin views of it for the referee and the policies,
+decoding the kernel's ints into BeliefStates.  A view returns the ongoing
+states only: a branch the cops win is dropped, so an empty tuple means the
+cops won on every branch.
 """
 
 from __future__ import annotations
@@ -179,10 +181,16 @@ class _Ctx:
     packing is injective on well-formed keys.  Among keys with one cops
     tuple and one tag, int order is the order of their key tuples.
 
-    An id is also an action: occ[a] and vis[a] are the occupancy and
-    visibility masks of the tuple cops_of[a], computed once, and moves(c)
+    An id is also an action.  For the tuple cops_of[a], with its visibility
+    mask vis (the union of its balls), the context computes once its
+    occupancy mask occ[a], the out-of-sight vertices nvis[a] = ~vis, and
+    sight[a], where a sighted evader stays in play: vis & ~occ[a], or
+    nothing under a seeing goal, where a sighting ends the game.  moves(c)
     lists the action ids one half-move from c.  grown memoizes grow() of
-    each unseen territory.
+    each unseen territory.  seen memoizes, per (sighted set, action), the
+    part of an INV row that the territory vertices in sight after the cop
+    move give: the keys of their escapes out of sight and the union of
+    their steps.  It starts afresh at _SEEN_MEMO_CAP entries.
 
     moves(c) is memoized per tuple, and the id of each raw (unsorted)
     product tuple is memoized across tuples, so a product tuple is sorted
@@ -193,8 +201,9 @@ class _Ctx:
     """
 
     __slots__ = (
-        "g", "k", "see", "mono", "delayed", "adjc", "grown", "_balls",
-        "cb", "ss", "ps", "cmask", "smask", "_cid", "cops_of", "occ", "vis", "_moves", "_raw",
+        "g", "k", "see", "mono", "delayed", "adjc", "grown", "seen", "_balls",
+        "cb", "ss", "ps", "cmask", "smask", "_cid", "cops_of", "occ", "nvis", "sight",
+        "_moves", "_raw",
     )
 
     def __init__(self, g: Graph, spec: GameSpec) -> None:
@@ -205,6 +214,7 @@ class _Ctx:
         self.delayed = spec.delayed
         self.adjc = g.adj_closed
         self.grown: dict[VertexSet, VertexSet] = {}
+        self.seen: dict[int, tuple[tuple[int, ...], VertexSet]] = {}
         self._balls = g.balls(spec.ell)
         self.cb = (math.comb(g.n + spec.cops - 1, spec.cops) - 1).bit_length()
         self.ss = self.cb + 2
@@ -214,7 +224,8 @@ class _Ctx:
         self._cid: dict[tuple[int, ...], int] = {}
         self.cops_of: list[tuple[int, ...]] = []
         self.occ: list[VertexSet] = []
-        self.vis: list[VertexSet] = []
+        self.nvis: list[int] = []
+        self.sight: list[VertexSet] = []
         self._moves: dict[int, tuple[int, ...]] = {}
         self._raw: dict[tuple[int, ...], int] = {}
 
@@ -226,8 +237,10 @@ class _Ctx:
                 raise IllegalMove(f"expected {self.k} cops, got {len(cops)}")
             c = self._cid[cops] = len(self.cops_of)
             self.cops_of.append(cops)
-            self.occ.append(mask_of(cops))
-            self.vis.append(_ball_union(self._balls, cops))
+            am, bm = mask_of(cops), _ball_union(self._balls, cops)
+            self.occ.append(am)
+            self.nvis.append(~bm)
+            self.sight.append(0 if self.see else bm & ~am)
         return c
 
     def moves(self, c: int) -> tuple[int, ...]:
@@ -289,52 +302,84 @@ class _Ctx:
         )
 
 
+def _vis_keys(ctx: _Ctx, a: int, seen: VertexSet) -> tuple[int, ...]:
+    """The VIS keys of the evader sighted on each vertex of seen, with the
+    cops on the tuple a, by vertex."""
+    base, ps = a | VIS << ctx.cb, ctx.ps
+    return tuple([base | v << ps for v in bits(seen)])
+
+
 def _initial_keys(ctx: _Ctx, c: int, cand: VertexSet) -> tuple[int, ...]:
     """The observation with the cops on the tuple c and the evader somewhere
     in cand: the opening split when cand is every vertex, the cop
     half-move's split of a territory or knowledge set otherwise.  An empty
     tuple means the cops win on every branch."""
-    am, bm = ctx.occ[c], ctx.vis[c]
-    free = cand & ~am
+    free = cand & ~ctx.occ[c]
     if free == 0:
         return ()
-    ps = ctx.ps
     if ctx.delayed:
-        return (c | DEL << ctx.cb | free << ps,)
-    out = []
-    if not ctx.see:
-        base = c | VIS << ctx.cb
-        for v in bits(free & bm):
-            out.append(base | v << ps)
-    unseen = free & ~bm
+        return (c | DEL << ctx.cb | free << ctx.ps,)
+    out = _vis_keys(ctx, c, free & ctx.sight[c])
+    unseen = free & ctx.nvis[c]
     if unseen:
         snap = unseen if ctx.mono else SNAP_FREE
-        out.append(c | (snap + 1) << ctx.ss | unseen << ps)
-    return tuple(out)
+        out += (c | (snap + 1) << ctx.ss | unseen << ctx.ps,)
+    return out
 
 
-def _expand(ctx: _Ctx, key: int, acts) -> list[tuple[int, tuple[int, ...]]]:
+# The seen memo starts afresh once it holds this many entries, about 10 MB.
+# With two cops on the 57-vertex tree a (sighted set, action) pair recurs
+# about six times and the memo needs 7,064 entries; with three cops a pair
+# seldom recurs (394,173 pairs in 467,640 rows of a 1M-state cut), and an
+# unbounded memo grew by 139 MB.
+_SEEN_MEMO_CAP = 1 << 15
+
+
+def _sightings(ctx: _Ctx, seen: VertexSet, a: int) -> tuple[tuple[int, ...], VertexSet]:
+    """The part of an INV row that the territory vertices seen after the
+    cop move to a give: the sorted distinct INV keys of their escapes out
+    of sight, and the union of their steps."""
+    adjc, nb, ps = ctx.adjc, ctx.nvis[a], ctx.ps
+    reach = 0
+    esc = set()
+    while seen:
+        low = seen & -seen
+        step = adjc[low.bit_length() - 1]
+        reach |= step
+        if step & nb:
+            esc.add(a | (step & nb) << ps)
+        seen ^= low
+    return tuple(sorted(esc)), reach
+
+
+def _expand(ctx: _Ctx, key: int, acts) -> list[tuple[int, tuple[int, ...], VertexSet]]:
     """One full round from the packed cop-to-move state key, per action id
     in acts (as ctx.moves gives them).
 
-    Returns one (action, successor keys) row per legal action, in the order
-    of acts.  A row lists its INV successors sorted, then its VIS ones by
-    vertex: the order of the key tuples.  There is no dedupe by successor
-    set: every successor carries its action as its cops, so only empty rows
-    can repeat.  An empty successor tuple means the action wins on the spot
-    (every branch terminal).  Monotonicity-violating actions are omitted
-    entirely.
+    Returns one (action, INV or DEL successor keys, sighted mask) row per
+    legal action, in the order of acts.  The keys are sorted, which is the
+    order of their key tuples.  The sighted mask holds each vertex on which
+    the evader may be seen after its move; its VIS successors are
+    _vis_keys(ctx, action, mask), and every one of them is a root: the
+    opening split of the placement action gives it too.  There is no dedupe
+    by successor set: every successor carries its action as its cops, so
+    only empty rows can repeat.  A row with no keys and an empty mask means
+    the action wins on the spot (every branch terminal).
+    Monotonicity-violating actions are omitted entirely.
 
     Works on whole masks per action.  A ball holds its centre, so the
-    occupancy mask lies inside the visibility mask: bm & ~am is where a
-    sighted evader may stand and ~bm is out of sight.  An INV successor with
-    no snapshot is a | payload << ps, since its tag and snapshot fields are 0.
+    occupancy mask lies inside the visibility mask: sight[a] is where a
+    sighted evader may stand and nvis[a] is out of sight.  An INV successor
+    with no snapshot is a | payload << ps, since its tag and snapshot fields
+    are 0.  The sighted territory's part of a row depends only on that set
+    and the action, so it is memoized per pair in ctx.seen, and worked out
+    directly for a single vertex.
     """
     cb, ps = ctx.cb, ctx.ps
     tag = key >> cb & 3
     payload = key >> ps
-    adjc, occ, vis_of = ctx.adjc, ctx.occ, ctx.vis
-    out: list[tuple[int, tuple[int, ...]]] = []
+    adjc, occ, nvis_of, sight_of = ctx.adjc, ctx.occ, ctx.nvis, ctx.sight
+    out: list[tuple[int, tuple[int, ...], VertexSet]] = []
 
     if tag == DEL:
         dtag = DEL << cb
@@ -347,30 +392,18 @@ def _expand(ctx: _Ctx, key: int, acts) -> list[tuple[int, tuple[int, ...]]]:
                 succ.add(adjc[low.bit_length() - 1] & ~am)
                 surv ^= low
             base = a | dtag
-            out.append((a, tuple([base | m << ps for m in sorted(succ)])))
+            out.append((a, tuple([base | m << ps for m in sorted(succ)]), 0))
         return out
 
-    see = ctx.see
-    vtag = VIS << cb
     if tag == VIS:
         r = payload
         step = adjc[r]
         for a in acts:
-            am = occ[a]
-            if (am >> r) & 1:
-                out.append((a, ()))
+            if (occ[a] >> r) & 1:
+                out.append((a, (), 0))
                 continue
-            bm = vis_of[a]
-            esc = step & ~bm
-            row = [a | esc << ps] if esc else []
-            if not see:
-                vis = step & bm & ~am
-                base = a | vtag
-                while vis:
-                    low = vis & -vis
-                    row.append(base | (low.bit_length() - 1) << ps)
-                    vis ^= low
-            out.append((a, tuple(row)))
+            esc = step & nvis_of[a]
+            out.append((a, (a | esc << ps,) if esc else (), step & sight_of[a]))
         return out
 
     mono = ctx.mono
@@ -378,43 +411,43 @@ def _expand(ctx: _Ctx, key: int, acts) -> list[tuple[int, tuple[int, ...]]]:
     # the monotone baseline: an unseen vertex outside the snapshot is illegal
     outside = ~((key >> ss & ctx.smask) - 1) if mono else 0
     grown_of = ctx.grown
+    seen_of = ctx.seen
     grow = ctx.g.grow
     for a in acts:
-        bm = vis_of[a]
-        unseen = payload & ~bm
+        nb = nvis_of[a]
+        unseen = payload & nb
         if unseen & outside:
             continue
-        am = occ[a]
-        vis = 0
-        row = []  # the INV successors first; they share a, so sort the ints
-        if not see:
-            seen_now = payload & bm & ~am
-            while seen_now:
-                low = seen_now & -seen_now
-                step = adjc[low.bit_length() - 1]
-                vis |= step
-                esc = step & ~bm
-                if esc:
-                    row.append(a | esc << ps)
-                seen_now ^= low
+        seen = payload & sight_of[a]
+        if not seen:
+            inv, reach = (), 0
+        elif seen & (seen - 1):
+            hit = seen_of.get(seen << cb | a)
+            if hit is None:
+                if len(seen_of) >= _SEEN_MEMO_CAP:
+                    seen_of.clear()
+                hit = seen_of[seen << cb | a] = _sightings(ctx, seen, a)
+            inv, reach = hit
+        else:
+            reach = adjc[seen.bit_length() - 1]
+            esc = reach & nb
+            inv = (a | esc << ps,) if esc else ()
         if unseen:
             grown = grown_of.get(unseen)
             if grown is None:
                 grown = grown_of[unseen] = grow(unseen)
-            vis |= grown
-            u2 = grown & ~bm
+            reach |= grown
+            u2 = grown & nb
             if u2:
-                row.append(a | (unseen + 1) << ss | u2 << ps if mono else a | u2 << ps)
-        if len(row) > 1:
-            row = sorted(set(row))
-        if not see:
-            vis &= bm & ~am
-            base = a | vtag
-            while vis:
-                low = vis & -vis
-                row.append(base | (low.bit_length() - 1) << ps)
-                vis ^= low
-        out.append((a, tuple(row)))
+                u = a | (unseen + 1) << ss | u2 << ps if mono else a | u2 << ps
+                if not inv:
+                    inv = (u,)
+                elif len(inv) == 1:
+                    e = inv[0]
+                    inv = (e, u) if e < u else (u, e) if u < e else inv
+                else:
+                    inv = tuple(sorted({*inv, u}))
+        out.append((a, inv, reach & sight_of[a]))
     return out
 
 
@@ -439,7 +472,8 @@ def _round(ctx: _Ctx, state: BeliefState, cops: tuple[int, ...]) -> tuple[Belief
     rows = _expand(ctx, ctx.encode(state), (ctx.cid(cops),))
     if not rows:
         raise MonotonicityViolation(f"moving to {cops} lets the unseen territory grow")
-    return _states(ctx, rows[0][1])
+    a, inv, seen = rows[0]
+    return _states(ctx, inv + _vis_keys(ctx, a, seen))
 
 
 def initial_branches(

@@ -21,14 +21,18 @@ Layout of a solve:
      successor count, its state and its action id, plus per-state arrays
      of the slots that wait on that state.  The discovery order, the state
      count, and everything derived from them are fixed by the graph and
-     the spec alone.  A sighted (VIS) state's row for an action depends on
-     the evader's vertex and the action, not on the cops tuple it is
-     played from, so it is built once per solve and kept as its
-     successors' rows; a later state with the same vertex and action reads
-     it instead of calling the kernel.  Its successors were interned when
-     the row was first built, so a read interns nothing, and the interning
-     order, budget stops and first-completing actions are those of a
-     solve that expands every row;
+     the spec alone.  A kernel row names its sighted (VIS) successors by a
+     vertex mask.  Each of them is a root, interned in step 1, so its row
+     is read from the roots' row table and nothing is packed, hashed or
+     interned for it.  A VIS state is a root too, so all of them are
+     expanded in the first wave.  Its row for an action depends on the
+     evader's vertex and the action, not on the cops tuple it is played
+     from, so within that wave it is built once and kept as its
+     successors' rows; a later state with the same vertex and action
+     reads it instead of calling the kernel.  Its successors were
+     interned when the row was first built, so a read interns nothing,
+     and the interning order, budget stops and first-completing actions
+     are those of a solve that expands every row;
   3. propagate wins wave-synchronously over the slots.  A state's wave is
      the number of cop moves needed against the worst adversary; the
      recorded action is the first to complete, under a fixed enumeration
@@ -37,7 +41,10 @@ Layout of a solve:
 
 The store is compact: a state is the kernel's packed int (see engine._Ctx)
 mapped to its row in one dict, and every per-slot and per-row table is an
-int32 array, as is each state's list of waiting slots.
+int32 array, as is each state's list of waiting slots.  So is the roots'
+row table of a game with sightings: the row of the evader seen on v with
+the cops on the placement a, at a * n + v, one entry per placement and
+vertex.
 
 The state budget is a hard cap on interned states.  Hitting it aborts with
 winner INCONCLUSIVE and states equal to the cap, never a guessed answer.
@@ -237,12 +244,24 @@ def solve(
             roots.append(i)
         placement_roots.append((p, tuple(roots)))
 
+    n = g.n
+    cmask, ps = ctx.cmask, ctx.ps
+    tmask, vtag = 3 << ctx.cb, VIS << ctx.cb
+    # Every sighted successor is a root: the evader seen on v with the cops
+    # on a is a branch of the placement a's opening split.  Every tuple got
+    # its id as a placement above, so root_row[a * n + v] is that root's
+    # row.  Only a game with sightings has VIS states.
+    root_row = array("i")
+    if not (spec.see_goal or spec.delayed):
+        root_row = array("i", bytes(4 * n * len(ctx.cops_of)))
+        for i, k in enumerate(keys):
+            if k & tmask == vtag:
+                root_row[(k & cmask) * n + (k >> ps)] = i
+
     # States are interned in discovery order and expanded in index order:
     # each wave is the run of indices interned while expanding the last.
     moves = ctx.moves
-    cmask = ctx.cmask
     get = index.get
-    tmask, vtag = 3 << ctx.cb, VIS << ctx.cb
     # A VIS row depends on the evader's vertex and the action alone, so it
     # is built and interned once per solve: key ^ c | a (the key with its
     # cops field replaced by the action id) -> the row's successor rows.
@@ -260,7 +279,7 @@ def solve(
                 rows = [vis_get(base | a) for a in acts]
                 if None in rows:
                     missing = [a for a, row in zip(acts, rows) if row is None]
-                    for a, succ_keys in _expand(ctx, key, missing):
+                    for a, succ_keys, seen in _expand(ctx, key, missing):
                         row = []
                         for sk in succ_keys:
                             j = get(sk)
@@ -272,6 +291,11 @@ def solve(
                                 keys.append(sk)
                                 preds.append(array("i"))
                             row.append(j)
+                        at = a * n
+                        while seen:
+                            low = seen & -seen
+                            row.append(root_row[at + low.bit_length() - 1])
+                            seen ^= low
                         vis_rows[base | a] = tuple(row)
                     rows = [vis_rows[base | a] for a in acts]
                 if () in rows:
@@ -289,24 +313,32 @@ def solve(
                 continue
             rows = _expand(ctx, key, moves(c))
             win = -1
-            for a, succ_keys in rows:
-                if not succ_keys:
+            for a, succ_keys, seen in rows:
+                if not (succ_keys or seen):
                     win = a
                     break
             chosen.append(win)
             if win >= 0:
                 # won at wave 1 whatever its other actions do; their
                 # successors are still interned, so the interning order
-                # does not depend on which states win
+                # does not depend on which states win.  The sighted ones
+                # are roots, interned already
                 seeds.append(i)
-            for a, succ_keys in rows:
-                if not succ_keys:
-                    continue
-                if win < 0:
-                    slot = len(remaining)
-                    remaining.append(len(succ_keys))
-                    slot_state.append(i)
-                    slot_action.append(a)
+                for a, succ_keys, seen in rows:
+                    for sk in succ_keys:
+                        if get(sk) is None:
+                            j = len(keys)
+                            if j >= budget:
+                                return inconclusive()
+                            index[sk] = j
+                            keys.append(sk)
+                            preds.append(array("i"))
+                continue
+            for a, succ_keys, seen in rows:
+                slot = len(remaining)
+                remaining.append(len(succ_keys) + seen.bit_count() if seen else len(succ_keys))
+                slot_state.append(i)
+                slot_action.append(a)
                 for sk in succ_keys:
                     j = get(sk)
                     if j is None:
@@ -316,8 +348,15 @@ def solve(
                         index[sk] = j
                         keys.append(sk)
                         preds.append(array("i"))
-                    if win < 0:
-                        preds[j].append(slot)
+                    preds[j].append(slot)
+                if seen:
+                    at = a * n
+                    while seen:
+                        low = seen & -seen
+                        preds[root_row[at + low.bit_length() - 1]].append(slot)
+                        seen ^= low
+        # every VIS state is a root, so the first wave expanded them all
+        vis_rows.clear()
         lo, hi = hi, len(keys)
 
     n_states = len(keys)

@@ -226,6 +226,18 @@ PINNED = [
         "census:14", GameSpec(1, 2), 400,
         (Winner.INCONCLUSIVE, 400, (237,), None), None,
     ),
+    # the deep_solve benchmark's tree: a large cops win whose rows are
+    # mostly sighted successors and sightings of several vertices at once
+    (
+        "randomtree:n=24,seed=4", GameSpec(1, 2), 1_000_000,
+        (
+            Winner.COPS, 28172,
+            (1329, 2295, 2577, 2985, 3460, 3433, 3389, 2761, 1759, 1695, 834, 493, 444, 178,
+             156, 124, 131, 43, 26, 36, 24),
+            9,
+        ),
+        "b3bdb57d68fcfb6f",
+    ),
 ]
 
 
@@ -243,7 +255,8 @@ def _pinned_graph(recipe):
 def test_pinned_solves(recipe, spec, budget, expected, policy_digest):
     # values recorded from the solver before its core was rewritten (the
     # see, time-delayed and radius-2 rows before the mask-algebra kernel,
-    # the census rows before VIS rows were shared across cop tuples);
+    # the census rows before VIS rows were shared across cop tuples, the
+    # 24-vertex tree before sighted successors became a vertex mask);
     # state counts, wave sizes, budget stops and the first-completing
     # actions must not move under a speed-up
     g = _pinned_graph(recipe)
@@ -553,6 +566,25 @@ def test_solved_seeing_policies_match_simulate_script():
 # The kernel is called here, but judged only with the oracles' g.dist sets.
 
 
+def _all_specs(g, radii):
+    return sorted(
+        {GameSpec(ell, k, variant).resolve(g) for variant in Variant for ell in radii for k in (1, 2)},
+        key=repr,
+    )
+
+
+def _kernel_rows(ctx, key):
+    """The kernel's rows of a key tuple as (action, its cops, INV or DEL
+    successor key tuples, sighted vertices), and the rows with the sighted
+    vertices spelt out as VIS key tuples."""
+    rows = [
+        (a, ctx.cops_of[a], tuple(map(ctx.decode, succs)), list(bits(seen)))
+        for a, succs, seen in _expand(ctx, ctx.encode(key), ctx.moves(ctx.cid(key[0])))
+    ]
+    full = [(cops, succs + tuple((cops, VIS, v, SNAP_FREE) for v in seen)) for _, cops, succs, seen in rows]
+    return rows, full
+
+
 def test_kernel_rows_obey_the_rules():
     # every row of every expanded state: one row per legal action (a cop
     # step that keeps the monotone baseline), and each successor a place
@@ -560,13 +592,7 @@ def test_kernel_rows_obey_the_rules():
     expanded = 0
     for g in _oracle_graphs():
         step = _near(g, 1)
-        specs = {
-            GameSpec(ell, k, variant).resolve(g)
-            for variant in Variant
-            for ell in (0, 1, 2)
-            for k in (1, 2)
-        }
-        for spec in sorted(specs, key=repr):
+        for spec in _all_specs(g, (0, 1, 2)):
             near = _near(g, spec.ell)
             out = solve(g, spec)
             assert out.winner is not Winner.INCONCLUSIVE
@@ -581,10 +607,7 @@ def test_kernel_rows_obey_the_rules():
                     if tag == INV and snap != SNAP_FREE and unseen - set(bits(snap)):
                         continue  # the unseen territory would grow
                     legal.add(a)
-                rows = [
-                    (ctx.cops_of[a], tuple(map(ctx.decode, succs)))
-                    for a, succs in _expand(ctx, ctx.encode(key), ctx.moves(ctx.cid(cops)))
-                ]
+                rows = _kernel_rows(ctx, key)[1]
                 assert sorted(a for a, _ in rows) == sorted(legal), key
                 filled = [succs for _, succs in rows if succs]
                 assert len(set(filled)) == len(filled), key
@@ -607,6 +630,100 @@ def test_kernel_rows_obey_the_rules():
     assert expanded > 10_000
 
 
+def test_sighted_successors_are_roots_at_their_rows():
+    # solve reads a row's sighted vertices through a table of the roots'
+    # rows, so each must be a root of the action's placement.  The roots'
+    # rows come from g.dist: placements in combinations order, each giving
+    # its sighted vertices ascending, then its unseen territory
+    checked = 0
+    for g in _oracle_graphs():
+        for spec in _all_specs(g, (0, 1, 2)):
+            near = _near(g, spec.ell)
+            root_row = {}
+            rows = 0
+            for p in itertools.combinations_with_replacement(range(g.n), spec.cops):
+                free = set(range(g.n)) - set(p)
+                if spec.delayed:
+                    rows += bool(free)
+                    continue
+                sighted = set().union(*(near[c] for c in p)) & free
+                if not spec.see_goal:
+                    for v in sorted(sighted):
+                        root_row[p, v] = rows
+                        rows += 1
+                rows += bool(free - sighted)
+            out = solve(g, spec)
+            assert out.winner is not Winner.INCONCLUSIVE
+            for (p, v), i in root_row.items():
+                assert out.index[(p, VIS, v, SNAP_FREE)] == i, (g.edges, spec, p, v)
+            ctx = _Ctx(g, spec)
+            for key in out.index:
+                for _, cops, _, seen in _kernel_rows(ctx, key)[0]:
+                    for v in seen:
+                        assert (cops, v) in root_row, (g.edges, spec, key, cops, v)
+                        checked += 1
+    assert checked > 100_000
+
+
+def test_sightings_depend_on_seen_set_and_action_alone():
+    # the kernel memoizes the part of an INV row that the territory in sight
+    # after the cop move gives, per (that set S, action).  Each INV row must
+    # be the rules' row, and every row with a given (S, a) must hold the
+    # escapes and the sighted reach the rules give S and a alone
+    shared = 0
+    for g in _oracle_graphs():
+        step = _near(g, 1)
+        for spec in _all_specs(g, (0, 1, 2)):
+            if spec.delayed:
+                continue
+            near = _near(g, spec.ell)
+            out = solve(g, spec)
+            ctx = _Ctx(g, spec)
+            first = {}  # (S, action cops) -> (state, escape keys, sighted reach)
+            for key in out.index:
+                cops, tag, payload, snap = key
+                if tag != INV:
+                    continue
+                for _, a, succs, seen in _kernel_rows(ctx, key)[0]:
+                    sighted = set().union(*(near[c] for c in a))
+                    territory = set(bits(payload)) - set(a)
+                    s_now = set() if spec.see_goal else territory & sighted
+                    unseen = territory - sighted
+                    escapes = {(a, INV, sum(1 << w for w in step[v] - sighted), SNAP_FREE)
+                               for v in s_now if step[v] - sighted}
+                    reach = set().union(*(step[v] for v in s_now))
+                    grown = set().union(*(step[v] for v in unseen))
+                    want = set(escapes)
+                    if grown - sighted:
+                        u = sum(1 << w for w in unseen) if spec.monotone else SNAP_FREE
+                        want.add((a, INV, sum(1 << w for w in grown - sighted), u))
+                    keep = set() if spec.see_goal else sighted - set(a)
+                    assert succs == tuple(sorted(want)), (g.edges, spec, key, a)
+                    assert set(seen) == (reach | grown) & keep, (g.edges, spec, key, a)
+                    state, esc1, reach1 = first.setdefault(
+                        (frozenset(s_now), a), (key, escapes, reach & keep)
+                    )
+                    if state != key and len(s_now) >= 2:
+                        assert esc1 <= set(succs) and reach1 <= set(seen), (g.edges, spec, key, a)
+                        shared += 1
+    assert shared > 2_000
+
+
+@pytest.mark.parametrize("row", [0, 1])
+def test_seen_memo_starting_afresh_changes_no_solve(monkeypatch, row):
+    # the kernel clears its sightings memo when it reaches its cap; a cap
+    # of two entries clears it over and over, and the pinned values hold
+    from lvcops import engine
+
+    recipe, spec, budget, expected, policy_digest = PINNED[row]
+    monkeypatch.setattr(engine, "_SEEN_MEMO_CAP", 2)
+    out = solve(_pinned_graph(recipe), spec, budget=budget)
+    assert (out.winner, out.states, out.wave_sizes, out.depth) == expected
+    blob = repr(sorted(out.policy.items())).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == policy_digest
+    assert len(out.index._ctx.seen) <= 2
+
+
 def test_vis_rows_depend_on_vertex_and_action_alone():
     # solve builds the row of a sighted (VIS) state for an action once, and
     # reuses it for every other cops tuple that sees the evader on the same
@@ -615,25 +732,18 @@ def test_vis_rows_depend_on_vertex_and_action_alone():
     # row from g.dist
     shared = 0
     for g in _oracle_graphs():
-        specs = {
-            GameSpec(ell, k, variant).resolve(g)
-            for variant in Variant
-            for ell in (1, 2)
-            for k in (1, 2)
-        }
-        for spec in sorted(specs, key=repr):
+        for spec in _all_specs(g, (1, 2)):
             out = solve(g, spec)
             ctx = _Ctx(g, spec)
-            first = {}  # (vertex, action id) -> (cops, row) where first met
+            first = {}  # (vertex, action cops) -> (cops, row) where first met
             for key in out.index:
                 cops, tag, r, _ = key
                 if tag != VIS:
                     continue
-                for a, succs in _expand(ctx, ctx.encode(key), ctx.moves(ctx.cid(cops))):
-                    row = [ctx.decode(s) for s in succs]
+                for a, row in _kernel_rows(ctx, key)[1]:
                     cops1, row1 = first.setdefault((r, a), (cops, row))
                     if cops1 != cops:
-                        assert row == row1, (g.edges, spec, key, ctx.cops_of[a], cops1)
+                        assert row == row1, (g.edges, spec, key, a, cops1)
                         shared += 1
     assert shared > 50_000
 
@@ -642,7 +752,8 @@ def test_move_order_is_first_occurrence_in_the_product():
     # the order of ctx.moves fixes the interning order, so it is pinned to
     # the first occurrence of each sorted tuple in the product of the cops'
     # sorted closed neighbourhoods (from g.dist); each action id's masks
-    # are its tuple's occupancy and the union of its balls.  One context
+    # are its tuple's occupancy, the complement of the union of its balls,
+    # and that union less the occupancy.  One context
     # serves every tuple of a (graph, k), so later tuples reuse the ids its
     # earlier ones gave to raw product tuples
     rng = random.Random(23)
@@ -666,7 +777,9 @@ def test_move_order_is_first_occurrence_in_the_product():
                     a_cops = ctx.cops_of[a]
                     assert ctx.cid(a_cops) == a
                     assert ctx.occ[a] == sum(1 << v for v in set(a_cops))
-                    assert ctx.vis[a] == sum(1 << v for v in set().union(*(near[c] for c in a_cops)))
+                    sighted = sum(1 << v for v in set().union(*(near[c] for c in a_cops)))
+                    assert ~ctx.nvis[a] == sighted
+                    assert ctx.sight[a] == sighted & ~ctx.occ[a]
                 checked += 1
     assert checked > 1000
 
