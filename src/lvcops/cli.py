@@ -598,11 +598,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         # numbers fall as the radius grows, so no gap is possible
         if any(h.adj_closed[v] == h.full for v in range(h.n)):
             return None
-        first = profile(h, (ell,), parts=("capture",), budget=args.budget)
+        # the screen solves its games rather than decide them, so the
+        # witness benchmark's traced solve counts still see its work
+        first = profile(h, (ell,), parts=("capture",), budget=args.budget, retrograde=True)
         if first.capture_at.get(ell) != 2:
             return None
         # reuse the screen's capture number; replace() re-runs the chain check
-        rest = profile(h, (ell,), parts=("classical", "see"), budget=args.budget)
+        rest = profile(h, (ell,), parts=("classical", "see"), budget=args.budget, retrograde=True)
         return dataclasses.replace(rest, capture_at=first.capture_at)
 
     def hit(p) -> bool:

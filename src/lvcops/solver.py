@@ -1,4 +1,5 @@
-"""Exact solving of the pursuit games by retrograde analysis.
+"""Exact solving of the pursuit games by retrograde analysis, and deciding
+them by antichains.
 
 The game is an AND-OR reachability game over belief states: the cops pick
 an action (OR), then every adversary-consistent branch must already be
@@ -9,7 +10,8 @@ counters.
 
 The rules are not restated here: the belief states, the opening split
 (_initial_keys) and the one-round expansion (_expand) are the transition
-kernel in engine; this module is the search over it.
+kernel in engine; this module is the search over it.  The one exception is
+decide's closed form of a round (below), which the tests hold to _expand.
 
 Layout of a solve:
   1. enumerate every opening placement (sorted multisets) and intern the
@@ -50,13 +52,42 @@ The state budget is a hard cap on interned states.  Hitting it aborts with
 winner INCONCLUSIVE and states equal to the cap, never a guessed answer.
 The cut happens at a fixed point of the deterministic discovery stream, so
 budgeted runs are reproducible too.
+
+Deciding without states (decide).  In every game but the monotone one the
+won states are closed downward in the territory: each successor of a
+kernel row grows with the territory (grow is a union of closed
+neighbourhoods), so a smaller territory's successors lie below a larger
+one's.  A won set is then kept as its maximal territories, an antichain
+(the lattice method of De Wulf, Doyen & Raskin, HSCC 2006).  Per cops
+tuple c, X[c] holds the maximal territories won within w cop moves (in
+the time-delayed game, knowledge sets) and V[c] the vertices on which a
+sighted evader is won within w.  Level w + 1 is made from level w alone:
+with nb = nvis[a], s = sight[a] and B = s & ~V[a] (engine._Ctx), the action
+a wins a sighted evader on ok_a = occ[a] | ~grow(B) & ~meet(grow(nb & ~M)),
+and into each M of X[a] (or M = 0) it wins the territory
+(vis[a] & ~s) | (s & ok_a) | nb & ~grow((nb & ~M) | B), since
+{u : N[u] ∩ D = ∅} = ~grow(D).  In the time-delayed game each surviving
+vertex steps into a set of its own, so a wins the one set
+occ[a] | ~meet(grow(free & ~M)), free the vertices off a's cops.  These
+are offered, cut to their domain, to every tuple one step from a.  A wave
+is a property of the state, so the first level at which some placement
+has every root won is solve's depth, the first such placement in
+placement order is solve's placement, and a level that changes nothing
+means the evader wins.  cop_number calls decide only where no solve could
+reach the budget: a state is one cops tuple and either a nonempty vertex
+set or one vertex, so a budget of comb(n + k - 1, k) * (2**n + n) states
+cannot bind, and the budget stops stay exactly as they were; with
+retrograde set it solves every count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from enum import Enum
@@ -195,6 +226,13 @@ class SolveOutcome:
         }
 
 
+def _check_cop_count(g: Graph, spec: GameSpec) -> None:
+    if spec.cops > g.n:
+        raise ValueError(
+            f"{spec.cops} cops on a graph of order {g.n}; at most {g.n} are ever needed"
+        )
+
+
 def solve(
     g: Graph,
     spec: GameSpec,
@@ -207,10 +245,7 @@ def solve(
     moves are enumerated as a product over the cops, so a large count
     stalls before the first state is interned.
     """
-    if spec.cops > g.n:
-        raise ValueError(
-            f"{spec.cops} cops on a graph of order {g.n}; at most {g.n} are ever needed"
-        )
+    _check_cop_count(g, spec)
     spec = spec.resolve(g)
     ctx = _Ctx(g, spec)
 
@@ -399,11 +434,148 @@ def solve(
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _move_table(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
+    """ctx.moves of every cops tuple of k cops on g, by id, with the ids
+    handed out in placement (combinations_with_replacement) order.  The
+    moves depend on the graph and k alone, so the games of a profile share
+    the table; a few (graph, k) pairs are kept."""
+    ctx = _Ctx(g, GameSpec(0, k))
+    for p in itertools.combinations_with_replacement(range(g.n), k):
+        ctx.cid(p)
+    return tuple(map(ctx.moves, range(len(ctx.cops_of))))
+
+
+class _Antichains:
+    """decide's won sets of one game at one level of the fixpoint (see the
+    module docstring), per cops tuple id c, ids in placement order.
+
+    dom[c] holds every territory of c: the vertices out of sight, or in
+    the time-delayed game every vertex off the cops.  X[c] maps each
+    maximal won territory M to grow(dom[c] & ~M), the vertices with a step
+    outside M, and inter[c] is the meet of those values and of grow(dom[c])
+    (M = 0).  V[c] holds the vertices on which a sighted evader is won.
+    """
+
+    __slots__ = ("full", "grow", "delayed", "occ", "dom", "sight", "X", "inter", "V")
+
+    def __init__(self, g: Graph, ctx: _Ctx, delayed: bool) -> None:
+        self.full, self.grow, self.delayed = g.full, g.grow, delayed
+        self.occ = ctx.occ
+        if delayed:
+            self.dom = [g.full & ~m for m in ctx.occ]
+            self.sight = [0] * len(ctx.occ)  # nothing is ever sighted
+        else:
+            self.dom = [g.full & m for m in ctx.nvis]
+            self.sight = ctx.sight
+        self.X: list[dict[int, int]] = [{} for _ in ctx.occ]
+        self.inter = list(map(self.grow, self.dom))
+        self.V = [0] * len(ctx.occ)
+
+    def insert(self, c: int, t: int) -> bool:
+        """Add the won territory t to X[c]; False if it lies below one
+        there already."""
+        xc = self.X[c]
+        if t in xc or any(t | m == m for m in xc):
+            return False
+        for m in [m for m in xc if m | t == t]:
+            del xc[m]
+        h = xc[t] = self.grow(self.dom[c] & ~t)
+        self.inter[c] &= h
+        return True
+
+    def offers(self, a: int) -> tuple[int, set[int]]:
+        """What the action a wins into its won sets: the vertices ok on
+        which a sighted evader is won (a's cops stand on it, or every step
+        from it is won), and for each M in X[a] (or M = 0) the greatest
+        territory that a wins into M."""
+        full, occ, inter = self.full, self.occ[a], self.inter[a]
+        if self.delayed:
+            # each surviving vertex steps into a knowledge set of its own
+            ok = (occ | ~inter) & full
+            return ok, {ok}
+        nb, s = self.dom[a], self.sight[a]
+        gb = self.grow(s & ~self.V[a])  # a step onto a lost sighted vertex
+        ok = (occ | ~(gb | inter)) & full
+        base = full & ~nb & ~s | s & ok
+        return ok, {base | nb & ~(h | gb) for h in self.X[a].values() or (inter,)}
+
+    def won(self, c: int) -> bool:
+        """Whether every root of the placement c is won."""
+        if self.sight[c] & ~self.V[c]:
+            return False
+        r = self.dom[c]
+        return not r or any(r | m == m for m in self.X[c])
+
+
+def decide(
+    g: Graph, spec: GameSpec
+) -> tuple[Winner, int | None, tuple[int, ...] | None]:
+    """The winner, depth and placement that solve gives, for any game but
+    the monotone one, by the antichain fixpoint of the module docstring.
+    Nothing is interned, so there is no budget and no INCONCLUSIVE."""
+    _check_cop_count(g, spec)
+    spec = spec.resolve(g)
+    if spec.monotone:
+        raise ValueError("the monotone game's won states are not closed downward")
+    ctx = _Ctx(g, spec)
+    placements = list(itertools.combinations_with_replacement(range(g.n), spec.cops))
+    for p in placements:  # the ids of _move_table: id c is placements[c]
+        ctx.cid(p)
+    moves = _move_table(g, spec.cops)
+    fx = _Antichains(g, ctx, spec.delayed)
+    dom, sight, V = fx.dom, fx.sight, fx.V
+    sighted = any(sight)
+    for c, p in enumerate(placements):
+        if not (sight[c] or dom[c]):
+            return Winner.COPS, 0, p
+
+    # Level w holds what is won within w cop moves and is made from level
+    # w - 1 alone.  An action whose X and V stayed put offers what it
+    # offered before, and a territory it offered once is not offered again.
+    sent: list[set[int]] = [set() for _ in placements]
+    dirty: Iterable[int] = range(len(placements))
+    depth = 0
+    while dirty:
+        depth += 1
+        handed = []
+        for a in dirty:
+            ok, news = fx.offers(a)
+            news -= sent[a]
+            sent[a] |= news
+            handed.append((a, ok, news))
+        changed = set()
+        offers: defaultdict[int, set[int]] = defaultdict(set)
+        for a, ok, news in handed:
+            # a step is reversible, so the predecessors of a are moves(a)
+            pre = moves[a]
+            if sighted:
+                for c in pre:
+                    if ok & sight[c] & ~V[c]:
+                        V[c] |= ok & sight[c]
+                        changed.add(c)
+            for t in news:
+                for c in pre:
+                    offers[c].add(t & dom[c])
+        for c, got in offers.items():
+            got.discard(0)
+            # the largest first, so fewer are displaced again
+            for t in sorted(got, key=int.bit_count, reverse=True):
+                if fx.insert(c, t):
+                    changed.add(c)
+        dirty = sorted(changed)
+        for c in dirty:
+            if fx.won(c):
+                return Winner.COPS, depth, placements[c]
+    return Winner.ROBBER, None, None
+
+
 def _least_winning(
-    g: Graph, ell: int, variant: Variant, *, budget: int
+    g: Graph, ell: int, variant: Variant, *, budget: int, first: int = 1
 ) -> tuple[int, SolveOutcome]:
-    """The smallest winning cop count with its solve; see cop_number."""
-    for k in range(1, g.n + 1):
+    """The smallest winning cop count from first on, with its solve; see
+    cop_number."""
+    for k in range(first, g.n + 1):
         out = solve(g, GameSpec(ell, k, variant), budget=budget)
         if out.winner is Winner.COPS:
             return k, out
@@ -422,14 +594,33 @@ def cop_number(
     variant: Variant = Variant.CAPTURE,
     *,
     budget: int = DEFAULT_BUDGET,
+    retrograde: bool = False,
 ) -> int:
     """Smallest cop count winning the game; iterates k = 1, 2, ...
 
     Termination: a cop on every vertex leaves the evader nowhere to stand,
     so k = n always wins.  An INCONCLUSIVE solve below the answer poisons
     the iteration and raises BudgetExceeded with the partial findings.
+
+    A count at which no solve could reach the budget (see
+    _states_bound) is decided by decide, unless the game is monotone or
+    retrograde is set; from the first count at which one could, the
+    counts are solved.  The answer is the same either way.
     """
-    return _least_winning(g, ell, variant, budget=budget)[0]
+    k = 1
+    if not retrograde and variant is not Variant.MONOTONE_CAPTURE:
+        while budget >= _states_bound(g.n, k):
+            if decide(g, GameSpec(ell, k, variant))[0] is Winner.COPS:
+                return k
+            k += 1
+    return _least_winning(g, ell, variant, budget=budget, first=k)[0]
+
+
+def _states_bound(n: int, k: int) -> int:
+    """More states than a solve of k cops on n vertices can intern: a
+    state is one cops tuple and either a nonempty vertex set (a territory
+    or a knowledge set) or one vertex (a sighted evader)."""
+    return math.comb(n + k - 1, k) * (2**n + n)
 
 
 @dataclass(frozen=True)
@@ -515,11 +706,13 @@ def profile(
     *,
     parts: Iterable[str] = ALL_PARTS,
     budget: int = DEFAULT_BUDGET,
+    retrograde: bool = False,
 ) -> Profile:
     """Compute the requested game numbers and wrap them in a Profile.
 
-    Each game is solved once: the classical game is the capture game at
-    radius diameter, and the blind one the capture game at radius 0, so a
+    Each game is solved or decided once (see cop_number, which also
+    takes retrograde): the classical game is the capture game at radius
+    diameter, and the blind one the capture game at radius 0, so a
     number is kept under its resolved spec and reused when a requested
     radius asks for the same game.
     """
@@ -537,7 +730,7 @@ def profile(
     def number(ell: int, variant: Variant) -> int:
         game = GameSpec(ell, 1, variant).resolve(g)
         if game not in numbers:
-            numbers[game] = cop_number(g, ell, variant, budget=budget)
+            numbers[game] = cop_number(g, ell, variant, budget=budget, retrograde=retrograde)
         return numbers[game]
 
     if "classical" in parts:

@@ -569,17 +569,19 @@ def test_witness_workers_leave_no_process(capsys, monkeypatch, failure):
 
 
 def _count_solves(monkeypatch) -> list[tuple]:
-    """Record (variant, ell, cops) of every solve the solver module runs."""
+    """Record (variant, ell, cops) of every game the solver module solves
+    or decides."""
     from lvcops import solver
 
     specs = []
-    real = solver.solve
+    for name in ("solve", "decide"):
+        real = getattr(solver, name)
 
-    def counting(g, spec, **kw):
-        specs.append((spec.variant.value, spec.ell, spec.cops))
-        return real(g, spec, **kw)
+        def counting(g, spec, real=real, **kw):
+            specs.append((spec.variant.value, spec.ell, spec.cops))
+            return real(g, spec, **kw)
 
-    monkeypatch.setattr(solver, "solve", counting)
+        monkeypatch.setattr(solver, name, counting)
     return specs
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -36,7 +37,10 @@ from lvcops.solver import (
     SolvedCops,
     SolvedRobber,
     Winner,
+    _Antichains,
+    _states_bound,
     cop_number,
+    decide,
     profile,
     search_witness,
     solve,
@@ -437,6 +441,35 @@ def _sighted_depth(g, k, ell, see):
         p: [(p, s) for s in observe(frozenset(range(g.n)) - set(p), p)]
         for p in itertools.combinations_with_replacement(range(g.n), k)
     }
+    return _least_fixpoint_depth(roots, actions)
+
+
+def _delayed_depth(g, k):
+    """Depth of the time-delayed game by a least-fixpoint search over
+    (sorted cops, knowledge set), with the cops to move.  Nothing is seen
+    while play goes on; at the end of each round the evader's vertex before
+    its move is disclosed, so the knowledge set becomes that vertex's closed
+    neighbourhood off the cops, one branch per vertex it may have been on.
+    None when the evader wins."""
+    step = _near(g, 1)
+
+    def actions(c, info):
+        for c2 in _cop_steps(step, c):
+            occupied = set(c2)
+            yield [(c2, frozenset(step[v] - occupied)) for v in info - occupied]
+
+    roots = {}
+    for p in itertools.combinations_with_replacement(range(g.n), k):
+        free = frozenset(range(g.n)) - set(p)
+        roots[p] = [(p, free)] if free else []
+    return _least_fixpoint_depth(roots, actions)
+
+
+def _least_fixpoint_depth(roots, actions):
+    """The game's depth from each placement's root states and each state's
+    rows (actions(*state) gives, per cop move, the states after one full
+    round; an empty row is a win): close the reachable states, then give
+    each the wave at which some row has all its states won."""
     moves = {}
     todo = [s for rs in roots.values() for s in rs]
     while todo:
@@ -471,16 +504,30 @@ def _match_walks(g, walks, cops):
     raise AssertionError(f"no per-cop step to {cops}")
 
 
+@functools.cache
+def _solved(g, spec):
+    """The solve of a graph and a resolved spec, made once per test run:
+    the oracle tests and the kernel-row tests read the same solves."""
+    return solve(g, spec)
+
+
 def _depth(g, ell, k, variant):
-    out = solve(g, GameSpec(ell, k, variant))
+    """The game's depth from solve, which decide must match in winner,
+    depth and placement."""
+    spec = GameSpec(ell, k, variant)
+    out = _solved(g, spec.resolve(g))
     assert out.winner is not Winner.INCONCLUSIVE
     assert (out.winner is Winner.COPS) == (out.depth is not None)
+    assert decide(g, spec) == (out.winner, out.depth, out.placement), (g.edges, spec)
     return out.depth
 
 
+@functools.cache
 def _oracle_graphs():
     rng = random.Random(31)
-    return [random_connected(rng.randrange(2, 8), rng.randrange(0, 4), rng) for _ in range(45)]
+    return tuple(
+        random_connected(rng.randrange(2, 8), rng.randrange(0, 4), rng) for _ in range(45)
+    )
 
 
 def test_one_cop_classical_matches_copwin_and_explicit_search():
@@ -520,6 +567,33 @@ def test_classical_matches_explicit_search():
     assert outcomes == {True, False}
 
 
+def test_delayed_game_matches_knowledge_set_search():
+    outcomes = set()
+    for g in _oracle_graphs():
+        for k in (1, 2):
+            for ell in (0, 1):  # nothing is seen, so the radius changes nothing
+                depth = _depth(g, ell, k, Variant.TIME_DELAYED)
+                assert depth == _delayed_depth(g, k), (g.edges, k, ell)
+                outcomes.add(depth is not None)
+    assert outcomes == {True, False}
+
+
+def test_decide_matches_solve_on_every_non_monotone_game():
+    outcomes = set()
+    for g in _oracle_graphs():
+        for variant in Variant:
+            if variant is Variant.MONOTONE_CAPTURE:
+                continue
+            for ell in (0, 1, 2):
+                for k in (1, 2):
+                    outcomes.add(_depth(g, ell, k, variant))
+    assert {None, 0, 1, 2, 3} <= outcomes
+    with pytest.raises(ValueError):
+        decide(cycle(4), GameSpec(1, 1, Variant.MONOTONE_CAPTURE))
+    with pytest.raises(ValueError):
+        decide(path(2), GameSpec(1, 3))
+
+
 def test_sighted_games_match_information_set_search():
     # at radius >= 1 a sighting is not a capture, so the cops learn and the
     # open-loop search no longer applies
@@ -544,7 +618,7 @@ def test_solved_seeing_policies_match_simulate_script():
         for k in (1, 2):
             for ell in (1, 2):
                 spec = GameSpec(ell, k, Variant.SEE)
-                out = solve(g, spec)
+                out = _solved(g, spec)
                 if out.winner is not Winner.COPS:
                     continue
                 cops = SolvedCops(out)
@@ -594,7 +668,7 @@ def test_kernel_rows_obey_the_rules():
         step = _near(g, 1)
         for spec in _all_specs(g, (0, 1, 2)):
             near = _near(g, spec.ell)
-            out = solve(g, spec)
+            out = _solved(g, spec)
             assert out.winner is not Winner.INCONCLUSIVE
             ctx = _Ctx(g, spec)
             for key in out.index:
@@ -652,7 +726,7 @@ def test_sighted_successors_are_roots_at_their_rows():
                         root_row[p, v] = rows
                         rows += 1
                 rows += bool(free - sighted)
-            out = solve(g, spec)
+            out = _solved(g, spec)
             assert out.winner is not Winner.INCONCLUSIVE
             for (p, v), i in root_row.items():
                 assert out.index[(p, VIS, v, SNAP_FREE)] == i, (g.edges, spec, p, v)
@@ -677,7 +751,7 @@ def test_sightings_depend_on_seen_set_and_action_alone():
             if spec.delayed:
                 continue
             near = _near(g, spec.ell)
-            out = solve(g, spec)
+            out = _solved(g, spec)
             ctx = _Ctx(g, spec)
             first = {}  # (S, action cops) -> (state, escape keys, sighted reach)
             for key in out.index:
@@ -733,7 +807,7 @@ def test_vis_rows_depend_on_vertex_and_action_alone():
     shared = 0
     for g in _oracle_graphs():
         for spec in _all_specs(g, (1, 2)):
-            out = solve(g, spec)
+            out = _solved(g, spec)
             ctx = _Ctx(g, spec)
             first = {}  # (vertex, action cops) -> (cops, row) where first met
             for key in out.index:
@@ -746,6 +820,68 @@ def test_vis_rows_depend_on_vertex_and_action_alone():
                         assert row == row1, (g.edges, spec, key, a, cops1)
                         shared += 1
     assert shared > 50_000
+
+
+def test_antichain_closed_form_matches_kernel_rows():
+    # decide restates the kernel's round as masks: for a won territory M of
+    # the action a and the won sighted vertices V, the territory T of an
+    # INV (or DEL) state lies below what a wins into M exactly when every
+    # INV (or DEL) successor of a's row lies below M and every sighted one
+    # in V; and a sighted evader on r is won through a exactly when the same
+    # holds for its VIS row (empty when a's cops stand on r)
+    rng = random.Random(7)
+    checked = set()
+    for g in _oracle_graphs():
+        for spec in _all_specs(g, (0, 1, 2)):
+            if spec.monotone:
+                continue
+            ctx = _Ctx(g, spec)
+            placements = list(itertools.combinations_with_replacement(range(g.n), spec.cops))
+            for p in placements:
+                ctx.cid(p)
+            fx = _Antichains(g, ctx, spec.delayed)
+            tag = DEL if spec.delayed else INV
+            for _ in range(40):
+                c = rng.randrange(len(placements))
+                a = rng.choice(ctx.moves(c))
+                m = rng.getrandbits(g.n) & fx.dom[a]
+                fx.X[a], fx.inter[a] = {}, g.grow(fx.dom[a])
+                if m:
+                    fx.insert(a, m)
+                fx.V[a] = rng.getrandbits(g.n) & fx.sight[a]
+                ok, (t_am,) = fx.offers(a)
+
+                def won_into(tag, payload):
+                    key = ctx.encode((placements[c], tag, payload, SNAP_FREE))
+                    ((_, succs, seen),) = _expand(ctx, key, (a,))
+                    return all((k >> ctx.ps) | m == m for k in succs) and not seen & ~fx.V[a]
+
+                t = rng.getrandbits(g.n) & fx.dom[c]
+                if t:
+                    want = won_into(tag, t)
+                    assert (t | t_am == t_am) == want, (g.edges, spec, placements[c], a, t, m)
+                    checked.add((tag, want))
+                for r in bits(fx.sight[c]):
+                    want = won_into(VIS, r)
+                    assert bool((ok >> r) & 1) == want, (g.edges, spec, placements[c], a, r, m)
+                    checked.add((VIS, want))
+    assert checked == {(tag, won) for tag in (INV, VIS, DEL) for won in (True, False)}
+
+
+def test_solves_stay_under_the_decider_bound():
+    # cop_number decides a count by decide only when the budget is at least
+    # this bound, so no solve it stands in for could have stopped
+    for g in _oracle_graphs():
+        for spec in _all_specs(g, (0, 1, 2)):
+            assert _solved(g, spec).states <= _states_bound(g.n, spec.cops), (g.edges, spec)
+
+
+def test_retrograde_profile_matches_the_decided_one():
+    # the witness screen solves every count; the numbers must not depend on it
+    for i in range(20):
+        n = 5 + i % 5
+        g = random_connected_graph(n, (i * 3) % (n + 3), i)
+        assert profile(g, (1, 2), retrograde=True) == profile(g, (1, 2)), g.edges
 
 
 def test_move_order_is_first_occurrence_in_the_product():
@@ -911,9 +1047,9 @@ def _counting_cop_number(monkeypatch) -> list[GameSpec]:
 
     games = []
 
-    def counting(g, ell, variant=Variant.CAPTURE, *, budget=solver.DEFAULT_BUDGET):
+    def counting(g, ell, variant=Variant.CAPTURE, **kw):
         games.append(GameSpec(ell, 1, variant).resolve(g))
-        return cop_number(g, ell, variant, budget=budget)
+        return cop_number(g, ell, variant, **kw)
 
     monkeypatch.setattr(solver, "cop_number", counting)
     return games
