@@ -266,6 +266,15 @@ class _Ctx:
         out = self._moves[c] = tuple(dict.fromkeys(ids))
         return out
 
+    def forget(self) -> None:
+        """Empty the memos (grown, seen, the move lists and the raw tuple
+        ids).  The codec and the per-tuple masks stay, so a finished solve's
+        index can decode and find keys without keeping the memos alive."""
+        self.grown.clear()
+        self.seen.clear()
+        self._moves.clear()
+        self._raw.clear()
+
     def encode(self, key) -> int:
         """Pack a well-formed key, giving its cops an id if they lack one."""
         cops, tag, payload, snap = key

@@ -78,6 +78,14 @@ reach the budget: a state is one cops tuple and either a nonempty vertex
 set or one vertex, so a budget of comb(n + k - 1, k) * (2**n + n) states
 cannot bind, and the budget stops stay exactly as they were; with
 retrograde set it solves every count.
+
+decide's levels are also a strategy.  Each territory kept in X[c] is
+recorded with its level and the action that won it, and stays recorded
+when a larger one displaces it; so does each vertex added to V[c].  A
+state plays the action of the lowest-level record above it, and every
+successor of that action is terminal or has a lower level.  profile
+replays this capture strategy under the monotone rule (_monotone_number)
+to get a monotone number without a monotone solve.
 """
 
 from __future__ import annotations
@@ -104,6 +112,7 @@ from .engine import (
     _Ctx,
     _expand,
     _initial_keys,
+    _vis_keys,
     initial_branches,
     robber_turn,
 )
@@ -428,6 +437,7 @@ def solve(
                 win_placement, depth = p, d
 
     winner = Winner.COPS if win_placement is not None else Winner.ROBBER
+    ctx.forget()  # the outcome's index needs only the codec
     return SolveOutcome(
         winner, n_states, tuple(wave_sizes), depth, win_placement, g, spec,
         StateIndex(ctx, index), won, wave_of, chosen,
@@ -455,9 +465,16 @@ class _Antichains:
     maximal won territory M to grow(dom[c] & ~M), the vertices with a step
     outside M, and inter[c] is the meet of those values and of grow(dom[c])
     (M = 0).  V[c] holds the vertices on which a sighted evader is won.
+
+    The levels are the cops' strategy.  kept[c] records every territory
+    X[c] ever held, displaced ones included, as (level, territory, action)
+    in the order they came, and sighted[c] every addition to V[c] as
+    (level, vertices, action); play reads a state's move off them.
     """
 
-    __slots__ = ("full", "grow", "delayed", "occ", "dom", "sight", "X", "inter", "V")
+    __slots__ = (
+        "full", "grow", "delayed", "occ", "dom", "sight", "X", "inter", "V", "kept", "sighted",
+    )
 
     def __init__(self, g: Graph, ctx: _Ctx, delayed: bool) -> None:
         self.full, self.grow, self.delayed = g.full, g.grow, delayed
@@ -471,10 +488,12 @@ class _Antichains:
         self.X: list[dict[int, int]] = [{} for _ in ctx.occ]
         self.inter = list(map(self.grow, self.dom))
         self.V = [0] * len(ctx.occ)
+        self.kept: list[list[tuple[int, int, int]]] = [[] for _ in ctx.occ]
+        self.sighted: list[list[tuple[int, int, int]]] = [[] for _ in ctx.occ]
 
-    def insert(self, c: int, t: int) -> bool:
-        """Add the won territory t to X[c]; False if it lies below one
-        there already."""
+    def insert(self, c: int, t: int, level: int, a: int) -> bool:
+        """Add the territory t, won at level by the action a, to X[c];
+        False if it lies below one there already."""
         xc = self.X[c]
         if t in xc or any(t | m == m for m in xc):
             return False
@@ -482,7 +501,34 @@ class _Antichains:
             del xc[m]
         h = xc[t] = self.grow(self.dom[c] & ~t)
         self.inter[c] &= h
+        self.kept[c].append((level, t, a))
         return True
+
+    def see(self, c: int, ok: int, level: int, a: int) -> bool:
+        """Add the vertices of ok in sight of c, won at level by the action
+        a, to V[c]; False if it holds them already."""
+        new = ok & self.sight[c] & ~self.V[c]
+        if not new:
+            return False
+        self.V[c] |= new
+        self.sighted[c].append((level, new, a))
+        return True
+
+    def play(self, c: int, tag: int, payload: int) -> tuple[int, int]:
+        """(level, action) of the won state (c, tag, payload): for a sighted
+        evader, those with which its vertex joined V[c]; otherwise those of
+        the lowest-level territory kept above payload.  Each successor of
+        the action is terminal or has a lower level, so play wins within
+        level rounds."""
+        if tag == VIS:
+            for level, m, a in self.sighted[c]:
+                if m >> payload & 1:
+                    return level, a
+        else:
+            for level, m, a in self.kept[c]:
+                if payload | m == m:
+                    return level, a
+        raise KeyError(f"state ({c}, {tag}, {payload}) is not won")
 
     def offers(self, a: int) -> tuple[int, set[int]]:
         """What the action a wins into its won sets: the vertices ok on
@@ -514,6 +560,14 @@ def decide(
     """The winner, depth and placement that solve gives, for any game but
     the monotone one, by the antichain fixpoint of the module docstring.
     Nothing is interned, so there is no budget and no INCONCLUSIVE."""
+    return _decide(g, spec)[:3]
+
+
+def _decide(
+    g: Graph, spec: GameSpec
+) -> tuple[Winner, int | None, tuple[int, ...] | None, _Antichains]:
+    """decide, with its antichains: on a cops win, fx.play is a winning
+    strategy from the placement, over cops tuple ids in placement order."""
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
     if spec.monotone:
@@ -524,11 +578,11 @@ def decide(
         ctx.cid(p)
     moves = _move_table(g, spec.cops)
     fx = _Antichains(g, ctx, spec.delayed)
-    dom, sight, V = fx.dom, fx.sight, fx.V
+    dom, sight = fx.dom, fx.sight
     sighted = any(sight)
     for c, p in enumerate(placements):
         if not (sight[c] or dom[c]):
-            return Winner.COPS, 0, p
+            return Winner.COPS, 0, p, fx
 
     # Level w holds what is won within w cop moves and is made from level
     # w - 1 alone.  An action whose X and V stayed put offers what it
@@ -545,29 +599,29 @@ def decide(
             sent[a] |= news
             handed.append((a, ok, news))
         changed = set()
-        offers: defaultdict[int, set[int]] = defaultdict(set)
+        # per tuple, each territory offered to it -> the first action offering it
+        offers: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for a, ok, news in handed:
             # a step is reversible, so the predecessors of a are moves(a)
             pre = moves[a]
             if sighted:
                 for c in pre:
-                    if ok & sight[c] & ~V[c]:
-                        V[c] |= ok & sight[c]
+                    if fx.see(c, ok, depth, a):
                         changed.add(c)
             for t in news:
                 for c in pre:
-                    offers[c].add(t & dom[c])
+                    offers[c].setdefault(t & dom[c], a)
         for c, got in offers.items():
-            got.discard(0)
+            got.pop(0, None)
             # the largest first, so fewer are displaced again
             for t in sorted(got, key=int.bit_count, reverse=True):
-                if fx.insert(c, t):
+                if fx.insert(c, t, depth, got[t]):
                     changed.add(c)
         dirty = sorted(changed)
         for c in dirty:
             if fx.won(c):
-                return Winner.COPS, depth, placements[c]
-    return Winner.ROBBER, None, None
+                return Winner.COPS, depth, placements[c], fx
+    return Winner.ROBBER, None, None, fx
 
 
 def _least_winning(
@@ -607,20 +661,65 @@ def cop_number(
     retrograde is set; from the first count at which one could, the
     counts are solved.  The answer is the same either way.
     """
+    return _cop_number(g, ell, variant, budget=budget, retrograde=retrograde)[0]
+
+
+def _cop_number(
+    g: Graph, ell: int, variant: Variant, *, budget: int, retrograde: bool
+) -> tuple[int, tuple[tuple[int, ...], _Antichains] | None]:
+    """cop_number, with decide's winning placement and antichains at the
+    answer, or None when a solve found it."""
     k = 1
     if not retrograde and variant is not Variant.MONOTONE_CAPTURE:
         while budget >= _states_bound(g.n, k):
-            if decide(g, GameSpec(ell, k, variant))[0] is Winner.COPS:
-                return k
+            winner, _, placement, fx = _decide(g, GameSpec(ell, k, variant))
+            if winner is Winner.COPS:
+                return k, (placement, fx)
             k += 1
-    return _least_winning(g, ell, variant, budget=budget, first=k)[0]
+    return _least_winning(g, ell, variant, budget=budget, first=k)[0], None
 
 
-def _states_bound(n: int, k: int) -> int:
+def _states_bound(n: int, k: int, monotone: bool = False) -> int:
     """More states than a solve of k cops on n vertices can intern: a
     state is one cops tuple and either a nonempty vertex set (a territory
-    or a knowledge set) or one vertex (a sighted evader)."""
-    return math.comb(n + k - 1, k) * (2**n + n)
+    or a knowledge set) or one vertex (a sighted evader).  In the monotone
+    game a territory may also carry a snapshot, and a territory with one
+    is fixed by its cops and its snapshot, so there are twice as many."""
+    return math.comb(n + k - 1, k) * (2 ** (n + monotone) + n)
+
+
+def _monotone_number(
+    g: Graph, ell: int, k: int, placement: tuple[int, ...], fx: _Antichains, *, budget: int
+) -> int:
+    """The monotone number at radius ell, given the capture number k there
+    and decide's win at k, its placement and antichains.
+
+    A monotone win is a capture win, so the answer is at least k.  It is k
+    when fx.play, replayed from the placement under the monotone rule,
+    never makes a move the rule forbids: the kernel drops exactly those,
+    and the replay's states are the capture game's with snapshots added.
+    Otherwise the counts from k on are solved.  The caller makes sure that
+    no monotone solve of at most k cops could reach the budget, so no
+    count below k could have stopped a search from 1.
+    """
+    ctx = _Ctx(g, GameSpec(ell, k, Variant.MONOTONE_CAPTURE))
+    for p in itertools.combinations_with_replacement(range(g.n), k):
+        ctx.cid(p)  # decide's ids
+    cb, ps, cmask = ctx.cb, ctx.ps, ctx.cmask
+    todo = list(_initial_keys(ctx, ctx.cid(placement), g.full))
+    met = set(todo)
+    while todo:
+        key = todo.pop()
+        a = fx.play(key & cmask, key >> cb & 3, key >> ps)[1]
+        rows = _expand(ctx, key, (a,))
+        if not rows:
+            return _least_winning(g, ell, Variant.MONOTONE_CAPTURE, budget=budget, first=k)[0]
+        ((_, succs, seen),) = rows
+        for s in succs + _vis_keys(ctx, a, seen):
+            if s not in met:
+                met.add(s)
+                todo.append(s)
+    return k
 
 
 @dataclass(frozen=True)
@@ -715,6 +814,13 @@ def profile(
     diameter, and the blind one the capture game at radius 0, so a
     number is kept under its resolved spec and reused when a requested
     radius asks for the same game.
+
+    A monotone number whose capture number k was decided comes from
+    replaying decide's capture win under the monotone rule (see
+    _monotone_number), where the budget is at least
+    _states_bound(n, k, monotone=True), so that no monotone solve of at
+    most k cops could stop; elsewhere, and with retrograde set, the
+    monotone game is solved from 1 cop on, as cop_number does.
     """
     from .graphs import k_domination_number
 
@@ -726,12 +832,20 @@ def profile(
     classical = blind = delayed = domination = None
     capture_at = see_at = monotone_at = domination_at = None
     numbers: dict[GameSpec, int] = {}
+    wins: dict[GameSpec, tuple[tuple[int, ...], _Antichains] | None] = {}
 
     def number(ell: int, variant: Variant) -> int:
         game = GameSpec(ell, 1, variant).resolve(g)
         if game not in numbers:
-            numbers[game] = cop_number(g, ell, variant, budget=budget, retrograde=retrograde)
+            numbers[game], wins[game] = _cop_number(g, ell, variant, budget=budget, retrograde=retrograde)
         return numbers[game]
+
+    def monotone_number(ell: int) -> int:
+        capture = GameSpec(ell, 1, Variant.CAPTURE).resolve(g)
+        win = wins.get(capture)
+        if win is None or budget < _states_bound(g.n, numbers[capture], monotone=True):
+            return number(ell, Variant.MONOTONE_CAPTURE)
+        return _monotone_number(g, ell, numbers[capture], *win, budget=budget)
 
     if "classical" in parts:
         classical = number(0, Variant.CLASSICAL)
@@ -744,7 +858,7 @@ def profile(
     if "see" in parts:
         see_at = {r: number(r, Variant.SEE) for r in radii}
     if "monotone" in parts:
-        monotone_at = {r: number(r, Variant.MONOTONE_CAPTURE) for r in radii}
+        monotone_at = {r: monotone_number(r) for r in radii}
     if "see" in parts or "domination" in parts:
         domination_at = {r: k_domination_number(g, r) for r in radii}
     if "domination" in parts:

@@ -574,7 +574,7 @@ def _count_solves(monkeypatch) -> list[tuple]:
     from lvcops import solver
 
     specs = []
-    for name in ("solve", "decide"):
+    for name in ("solve", "_decide"):
         real = getattr(solver, name)
 
         def counting(g, spec, real=real, **kw):

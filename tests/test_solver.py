@@ -38,6 +38,7 @@ from lvcops.solver import (
     SolvedRobber,
     Winner,
     _Antichains,
+    _decide,
     _states_bound,
     cop_number,
     decide,
@@ -326,6 +327,19 @@ def test_index_view_round_trips_and_refuses_foreign_keys(
             index[bad]
 
 
+def test_finished_solve_index_holds_no_memos():
+    # replay reads a solve through its index, which needs the codec alone:
+    # the kernel's memos (grown territories, sightings, move lists, raw
+    # tuple ids) are emptied when solve returns
+    for recipe, spec in (("randomtree:n=12,seed=4", GameSpec(1, 2)),
+                         ("subdivided:2,1", GameSpec(1, 2, Variant.MONOTONE_CAPTURE))):
+        out = solve(_pinned_graph(recipe), spec)
+        ctx = out.index._ctx
+        assert (ctx.grown, ctx.seen, ctx._moves, ctx._raw) == ({}, {}, {}, {})
+        assert [out.index[key] for key in out.index] == list(range(out.states))
+        assert SolvedCops(out).move(out.graph, spec, BeliefState(*next(iter(out.index))))
+
+
 # -- independent oracles ------------------------------------------------------------
 # Written from the rules, not from the engine: neighbourhoods and balls come
 # from g.dist, and nothing here calls the transition kernel.
@@ -528,6 +542,11 @@ def _oracle_graphs():
     return tuple(
         random_connected(rng.randrange(2, 8), rng.randrange(0, 4), rng) for _ in range(45)
     )
+
+
+# at radius 0 this graph has capture number 2 and monotone number 3
+NON_MONOTONE = Graph(8, [(0, 1), (0, 2), (0, 6), (0, 7), (1, 3), (1, 4), (2, 3), (2, 5),
+                         (2, 7), (3, 6), (4, 7), (5, 6), (5, 7)])
 
 
 def test_one_cop_classical_matches_copwin_and_explicit_search():
@@ -847,7 +866,7 @@ def test_antichain_closed_form_matches_kernel_rows():
                 m = rng.getrandbits(g.n) & fx.dom[a]
                 fx.X[a], fx.inter[a] = {}, g.grow(fx.dom[a])
                 if m:
-                    fx.insert(a, m)
+                    fx.insert(a, m, 1, a)
                 fx.V[a] = rng.getrandbits(g.n) & fx.sight[a]
                 ok, (t_am,) = fx.offers(a)
 
@@ -876,12 +895,69 @@ def test_solves_stay_under_the_decider_bound():
             assert _solved(g, spec).states <= _states_bound(g.n, spec.cops), (g.edges, spec)
 
 
+def test_monotone_solves_stay_under_the_monotone_bound():
+    # profile replays a capture win in place of the monotone solves only
+    # when the budget is at least this bound.  It holds because a territory
+    # with a snapshot is fixed by its cops and its snapshot, which is
+    # checked here too, not only the count
+    checked = 0
+    for g in _oracle_graphs():
+        for spec in _all_specs(g, (0, 1, 2)):
+            if not spec.monotone:
+                continue
+            out = _solved(g, spec)
+            bound = _states_bound(g.n, spec.cops, monotone=True)
+            assert bound == math.comb(g.n + spec.cops - 1, spec.cops) * (2 ** (g.n + 1) + g.n)
+            assert out.states <= bound, (g.edges, spec)
+            territory = {}
+            for cops, tag, payload, snap in out.index:
+                if snap != SNAP_FREE:
+                    assert tag == INV
+                    assert territory.setdefault((cops, snap), payload) == payload, (g.edges, spec)
+                    checked += 1
+    assert checked > 1000
+
+
+def test_decided_strategy_wins_within_depth():
+    # decide's levelled antichains read as a strategy, replayed through the
+    # turn views (which check each move's legality): from the placement,
+    # the recorded level is at most depth and falls strictly at every step,
+    # so every branch ends within depth rounds
+    games = 0
+    for g in _oracle_graphs():
+        specs = {
+            GameSpec(ell, k, variant).resolve(g)
+            for variant in (Variant.CAPTURE, Variant.SEE, Variant.CLASSICAL,
+                            Variant.ZERO_VIS, Variant.TIME_DELAYED)
+            for ell in (0, 1, 2) for k in (1, 2)
+        }
+        for spec in sorted(specs, key=repr):
+            winner, depth, placement, fx = _decide(g, spec)
+            if winner is not Winner.COPS:
+                continue
+            games += 1
+            ids = {p: c for c, p in enumerate(
+                itertools.combinations_with_replacement(range(g.n), spec.cops))}
+            cops_of = list(ids)
+            todo = [(s, depth + 1, 0) for s in initial_branches(g, spec, placement)]
+            while todo:
+                state, above, rounds = todo.pop()
+                level, a = fx.play(ids[state.cops], state.tag, state.payload)
+                assert 0 < level < above and rounds < depth, (g.edges, spec, state)
+                for s in round_branches(g, spec, state, cops_of[a]):
+                    todo.append((s, level, rounds + 1))
+    assert games > 500
+
+
 def test_retrograde_profile_matches_the_decided_one():
-    # the witness screen solves every count; the numbers must not depend on it
+    # the witness screen solves every count; the numbers must not depend on
+    # it, nor on a monotone number coming from a replayed capture win
+    cases = [(g, (0, 1, 2)) for g in _oracle_graphs()] + [(NON_MONOTONE, (0, 1))]
     for i in range(20):
         n = 5 + i % 5
-        g = random_connected_graph(n, (i * 3) % (n + 3), i)
-        assert profile(g, (1, 2), retrograde=True) == profile(g, (1, 2)), g.edges
+        cases.append((random_connected_graph(n, (i * 3) % (n + 3), i), (1, 2)))
+    for g, radii in cases:
+        assert profile(g, radii, retrograde=True) == profile(g, radii), (g.edges, radii)
 
 
 def test_move_order_is_first_occurrence_in_the_product():
@@ -1041,27 +1117,65 @@ def test_profile_parts_selection():
         profile(path(5), (1,), parts=("nope",))
 
 
-def _counting_cop_number(monkeypatch) -> list[GameSpec]:
-    """Record the resolved game of every cop_number call profile makes."""
+def _counting_games(monkeypatch) -> list[GameSpec]:
+    """Record the resolved game of every number profile works out: each
+    number search, and each monotone number read off a replayed capture
+    win."""
     from lvcops import solver
 
     games = []
+    search, replay = solver._cop_number, solver._monotone_number
 
-    def counting(g, ell, variant=Variant.CAPTURE, **kw):
+    def counting(g, ell, variant, **kw):
         games.append(GameSpec(ell, 1, variant).resolve(g))
-        return cop_number(g, ell, variant, **kw)
+        return search(g, ell, variant, **kw)
 
-    monkeypatch.setattr(solver, "cop_number", counting)
+    def replaying(g, ell, *args, **kw):
+        games.append(GameSpec(ell, 1, Variant.MONOTONE_CAPTURE))
+        return replay(g, ell, *args, **kw)
+
+    monkeypatch.setattr(solver, "_cop_number", counting)
+    monkeypatch.setattr(solver, "_monotone_number", replaying)
     return games
 
 
 def test_profile_solves_each_resolved_game_once(monkeypatch):
     # C5 has diameter 2: the classical game is the capture game at radius 2,
     # and the blind game is the capture game at radius 0
-    games = _counting_cop_number(monkeypatch)
+    games = _counting_games(monkeypatch)
     p = profile(cycle(5), (0, 1, 2))
     assert len(games) == len(set(games)) == 10
     assert p.classical == p.capture_at[2] and p.blind == p.capture_at[0]
+
+
+def test_profile_monotone_numbers_from_replay_or_solves(monkeypatch):
+    # a replayed capture win stands in for the monotone solves where it
+    # keeps to the monotone rule; where it breaks it, the monotone game is
+    # solved from the capture number on
+    from lvcops import solver
+
+    solved = []
+    real = solver.solve
+
+    def counting(g, spec, **kw):
+        solved.append(spec)
+        return real(g, spec, **kw)
+
+    monkeypatch.setattr(solver, "solve", counting)
+    p = profile(NON_MONOTONE, (0, 1))
+    assert p.capture_at == {0: 2, 1: 2} and p.monotone_at == {0: 3, 1: 2}
+    assert solved == [GameSpec(0, 2, Variant.MONOTONE_CAPTURE), GameSpec(0, 3, Variant.MONOTONE_CAPTURE)]
+    solved.clear()
+    assert p == profile(NON_MONOTONE, (0, 1), retrograde=True)
+    assert GameSpec(0, 1, Variant.MONOTONE_CAPTURE) in solved
+    solved.clear()
+    # below the monotone bound the monotone game is solved from 1 cop on
+    budget = _states_bound(8, 2, monotone=True) - 1
+    assert profile(NON_MONOTONE, (1,), budget=budget).monotone_at == {1: 2}
+    assert [s for s in solved if s.monotone] == [GameSpec(1, k, Variant.MONOTONE_CAPTURE) for k in (1, 2)]
+    solved.clear()
+    assert profile(cycle(6), (0, 1, 2)).monotone_at == {0: 2, 1: 2, 2: 2}
+    assert solved == []
 
 
 def test_profile_equals_separate_cop_numbers():
