@@ -83,9 +83,13 @@ decide's levels are also a strategy.  Each territory kept in X[c] is
 recorded with its level and the action that won it, and stays recorded
 when a larger one displaces it; so does each vertex added to V[c].  A
 state plays the action of the lowest-level record above it, and every
-successor of that action is terminal or has a lower level.  profile
-replays this capture strategy under the monotone rule (_monotone_number)
-to get a monotone number without a monotone solve.
+successor of that action is terminal or has a lower level.  decide stops
+at the winning level before inserting its territories: it inserts only
+the winning placement's root, the one territory of that level that play
+reads from the placement, so the strategy from the placement is the one
+inserting the whole level would record.  profile replays this capture
+strategy under the monotone rule (_monotone_number) to get a monotone
+number without a monotone solve.
 """
 
 from __future__ import annotations
@@ -469,7 +473,9 @@ class _Antichains:
     The levels are the cops' strategy.  kept[c] records every territory
     X[c] ever held, displaced ones included, as (level, territory, action)
     in the order they came, and sighted[c] every addition to V[c] as
-    (level, vertices, action); play reads a state's move off them.
+    (level, vertices, action); play reads a state's move off them.  The
+    winning level is not inserted, only the winning placement's root
+    territory, so the last level's records are those of that root alone.
     """
 
     __slots__ = (
@@ -494,15 +500,29 @@ class _Antichains:
     def insert(self, c: int, t: int, level: int, a: int) -> bool:
         """Add the territory t, won at level by the action a, to X[c];
         False if it lies below one there already."""
-        xc = self.X[c]
-        if t in xc or any(t | m == m for m in xc):
-            return False
-        for m in [m for m in xc if m | t == t]:
-            del xc[m]
-        h = xc[t] = self.grow(self.dom[c] & ~t)
-        self.inter[c] &= h
-        self.kept[c].append((level, t, a))
-        return True
+        return self.insert_all(c, {t: a}, level)
+
+    def insert_all(self, c: int, got: dict[int, int], level: int) -> bool:
+        """Add each territory t of got, won at level by the action got[t],
+        to X[c] unless it lies below one there already, the largest first
+        so that fewer are displaced again; whether X[c] changed."""
+        xc, kept, d, grow = self.X[c], self.kept[c], self.dom[c], self.grow
+        inter = self.inter[c]
+        size = len(kept)
+        for t in sorted(got, key=int.bit_count, reverse=True):
+            if t in xc:
+                continue
+            for m in xc:
+                if t | m == m:
+                    break
+            else:
+                for m in [m for m in xc if m | t == t]:
+                    del xc[m]
+                h = xc[t] = grow(d & ~t)
+                inter &= h
+                kept.append((level, t, got[t]))
+        self.inter[c] = inter
+        return len(kept) > size
 
     def see(self, c: int, ok: int, level: int, a: int) -> bool:
         """Add the vertices of ok in sight of c, won at level by the action
@@ -546,13 +566,6 @@ class _Antichains:
         base = full & ~nb & ~s | s & ok
         return ok, {base | nb & ~(h | gb) for h in self.X[a].values() or (inter,)}
 
-    def won(self, c: int) -> bool:
-        """Whether every root of the placement c is won."""
-        if self.sight[c] & ~self.V[c]:
-            return False
-        r = self.dom[c]
-        return not r or any(r | m == m for m in self.X[c])
-
 
 def decide(
     g: Graph, spec: GameSpec
@@ -578,7 +591,7 @@ def _decide(
         ctx.cid(p)
     moves = _move_table(g, spec.cops)
     fx = _Antichains(g, ctx, spec.delayed)
-    dom, sight = fx.dom, fx.sight
+    dom, sight, V = fx.dom, fx.sight, fx.V
     sighted = any(sight)
     for c, p in enumerate(placements):
         if not (sight[c] or dom[c]):
@@ -611,16 +624,24 @@ def _decide(
             for t in news:
                 for c in pre:
                     offers[c].setdefault(t & dom[c], a)
+        # a placement is won here once every sighted root is and its
+        # territory is held or offered (an offer is cut to dom, so one that
+        # covers the territory equals it); the winning level is not
+        # inserted, only the winning root, which is all play reads from it
+        for c in sorted(changed.union(offers)):
+            if sight[c] & ~V[c]:
+                continue
+            r, got = dom[c], offers.get(c, {})
+            if not r or r in fx.X[c]:
+                return Winner.COPS, depth, placements[c], fx
+            if r in got:
+                fx.insert(c, r, depth, got[r])
+                return Winner.COPS, depth, placements[c], fx
         for c, got in offers.items():
             got.pop(0, None)
-            # the largest first, so fewer are displaced again
-            for t in sorted(got, key=int.bit_count, reverse=True):
-                if fx.insert(c, t, depth, got[t]):
-                    changed.add(c)
+            if fx.insert_all(c, got, depth):
+                changed.add(c)
         dirty = sorted(changed)
-        for c in dirty:
-            if fx.won(c):
-                return Winner.COPS, depth, placements[c], fx
     return Winner.ROBBER, None, None, fx
 
 

@@ -922,8 +922,10 @@ def test_decided_strategy_wins_within_depth():
     # decide's levelled antichains read as a strategy, replayed through the
     # turn views (which check each move's legality): from the placement,
     # the recorded level is at most depth and falls strictly at every step,
-    # so every branch ends within depth rounds
-    games = 0
+    # so every branch ends within depth rounds.  decide stops at the winning
+    # level keeping only the winning root's record, and the placement's
+    # INV (or DEL) root plays that record, at exactly depth
+    games = rooted = 0
     for g in _oracle_graphs():
         specs = {
             GameSpec(ell, k, variant).resolve(g)
@@ -940,13 +942,51 @@ def test_decided_strategy_wins_within_depth():
                 itertools.combinations_with_replacement(range(g.n), spec.cops))}
             cops_of = list(ids)
             todo = [(s, depth + 1, 0) for s in initial_branches(g, spec, placement)]
+            for s, _, _ in todo:
+                if s.tag != VIS:
+                    assert fx.play(ids[s.cops], s.tag, s.payload)[0] == depth, (g.edges, spec)
+                    rooted += 1
             while todo:
                 state, above, rounds = todo.pop()
                 level, a = fx.play(ids[state.cops], state.tag, state.payload)
                 assert 0 < level < above and rounds < depth, (g.edges, spec, state)
                 for s in round_branches(g, spec, state, cops_of[a]):
                     todo.append((s, level, rounds + 1))
-    assert games > 500
+    assert games > 500 and rooted > 250
+
+
+def test_decided_antichains_stay_antichains():
+    # X[c] holds maximal territories only, and every territory it ever held
+    # (kept[c]) lies below one it holds at the end, the winning root too
+    games = displaced = 0
+    for g in _oracle_graphs():
+        for spec in _all_specs(g, (0, 1, 2)):
+            if spec.monotone:
+                continue
+            fx = _decide(g, spec)[3]
+            games += 1
+            for xc, kept in zip(fx.X, fx.kept):
+                for t, m in itertools.permutations(xc, 2):
+                    assert t | m != m, (g.edges, spec, t, m)
+                for _, t, _ in kept:
+                    assert any(t | m == m for m in xc), (g.edges, spec, t)
+                    displaced += t not in xc
+    assert games > 800 and displaced > 1000
+
+
+def test_decide_pins_the_paper_tree_capture_game():
+    # the paper's 57-vertex tree at radius 2 with two cops: the retrograde
+    # answer, 2,351,883 states and about four minutes to record.  The root
+    # plays the first action offering it, the one decide recorded when it
+    # inserted the whole winning level: the cops step to (4, 32)
+    g = generate(parse_recipe("subdivided:3,3")).graph
+    assert g.n == 57
+    winner, depth, placement, fx = _decide(g, GameSpec(2, 2))
+    assert (winner, depth, placement) == (Winner.COPS, 26, (2, 33))
+    cops_of = list(itertools.combinations_with_replacement(range(g.n), 2))
+    c = cops_of.index(placement)
+    level, a = fx.play(c, INV, fx.dom[c])
+    assert (level, cops_of[a]) == (26, (4, 32))
 
 
 def test_retrograde_profile_matches_the_decided_one():
