@@ -1,5 +1,5 @@
 """Exact solving of the pursuit games by retrograde analysis, and deciding
-them by antichains.
+them by antichains or, where nothing is ever sighted, by a walk search.
 
 The game is an AND-OR reachability game over belief states: the cops pick
 an action (OR), then every adversary-consistent branch must already be
@@ -10,8 +10,9 @@ counters.
 
 The rules are not restated here: the belief states, the opening split
 (_initial_keys) and the one-round expansion (_expand) are the transition
-kernel in engine; this module is the search over it.  The one exception is
-decide's closed form of a round (below), which the tests hold to _expand.
+kernel in engine; this module is the search over it.  The exceptions are
+the closed forms of a round in decide and in the walk search (below),
+which the tests hold to _expand.
 
 Layout of a solve:
   1. enumerate every opening placement (sorted multisets) and intern the
@@ -73,11 +74,22 @@ are offered, cut to their domain, to every tuple one step from a.  A wave
 is a property of the state, so the first level at which some placement
 has every root won is solve's depth, the first such placement in
 placement order is solve's placement, and a level that changes nothing
-means the evader wins.  cop_number calls decide only where no solve could
-reach the budget: a state is one cops tuple and either a nonempty vertex
-set or one vertex, so a budget of comb(n + k - 1, k) * (2**n + n) states
-cannot bind, and the budget stops stay exactly as they were; with
-retrograde set it solves every count.
+means the evader wins.
+
+Walking the open-loop games (_clearing_walk).  Under a seeing goal, and
+at radius 0, nothing is ever sighted: the cops learn nothing until they
+win, so a cop strategy is a fixed walk, and each kernel row has at most
+one successor.  A breadth-first search from the placements' roots finds
+the shortest clearing walk; its first winning level and placement are
+solve's depth and placement, and it visits only states a solve interns.
+
+cop_number walks the open-loop games and calls decide on the rest, but
+only where no solve could reach the budget: a state is one cops tuple
+and either a nonempty vertex set or one vertex, so a budget of
+comb(n + k - 1, k) * (2**n + n) states cannot bind, and the budget stops
+stay exactly as they were; with retrograde set it solves every count.
+decide keeps the antichains for the open-loop games too: beyond that
+guard the walk's states outgrow them.
 
 decide's levels are also a strategy.  Each territory kept in X[c] is
 recorded with its level and the action that won it, and stays recorded
@@ -87,9 +99,10 @@ successor of that action is terminal or has a lower level.  decide stops
 at the winning level before inserting its territories: it inserts only
 the winning placement's root, the one territory of that level that play
 reads from the placement, so the strategy from the placement is the one
-inserting the whole level would record.  profile replays this capture
-strategy under the monotone rule (_monotone_number) to get a monotone
-number without a monotone solve.
+inserting the whole level would record.  profile replays the capture
+strategy cop_number found, these levels or a clearing walk, under the
+monotone rule (_monotone_number) to get a monotone number without a
+monotone solve.
 """
 
 from __future__ import annotations
@@ -107,6 +120,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 from .engine import (
     DEL,
+    INV,
     VIS,
     BeliefState,
     GameSpec,
@@ -645,6 +659,104 @@ def _decide(
     return Winner.ROBBER, None, None, fx
 
 
+def _open_loop(spec: GameSpec) -> bool:
+    """Whether the cops of the resolved game learn nothing until they win:
+    under a seeing goal a sighting ends the game, and at radius 0 a cop
+    sees only its own vertex, so no state is ever sighted."""
+    return spec.see_goal or spec.variant is Variant.CAPTURE and spec.ell == 0
+
+
+class _Walk:
+    """The clearing walk _clearing_walk found, as a strategy: each state on
+    it, keyed (cops tuple id, territory), with the rounds left from it and
+    the action it plays."""
+
+    __slots__ = ("steps", "states")
+
+    def __init__(self, steps: dict[tuple[int, int], tuple[int, int]], states: int) -> None:
+        self.steps = steps
+        self.states = states  # how many states the search visited
+
+    def play(self, c: int, tag: int, payload: int) -> tuple[int, int]:
+        """(rounds left, action) of the state (c, tag, payload) on the walk;
+        the action's one successor is the walk's next state, with one round
+        fewer left, or none on the last."""
+        hit = self.steps.get((c, payload)) if tag == INV else None
+        if hit is None:
+            raise KeyError(f"state ({c}, {tag}, {payload}) is not on the walk")
+        return hit
+
+
+def _clearing_walk(
+    g: Graph, spec: GameSpec
+) -> tuple[Winner, int | None, tuple[int, ...] | None, _Walk]:
+    """decide for an open-loop game (see _open_loop), by a breadth-first
+    search for the shortest clearing walk; on a cops win, the walk from the
+    placement is the strategy.
+
+    No state is sighted, so a kernel row of the territory T for the action
+    a has at most one successor, the INV territory grow(T & nb) & nb with
+    nb = nvis[a], and none, a win, exactly when T & nb is 0 (grow keeps its
+    argument).  A state's wave is one more than the least over its actions
+    of its successor's, so the first level holding a state with a winning
+    action is solve's depth.  Levels are expanded in order, each state
+    once, so a level runs in the order of the least placement reaching its
+    states there and each state keeps the path from that placement: the
+    first winning state of the level is reached from solve's placement.
+    Every state visited is one a solve from the same roots interns.
+    """
+    _check_cop_count(g, spec)
+    spec = spec.resolve(g)
+    if not _open_loop(spec):
+        raise ValueError("only a game with nothing ever sighted is won by a walk")
+    ctx = _Ctx(g, spec)
+    placements = list(itertools.combinations_with_replacement(range(g.n), spec.cops))
+    for p in placements:  # the ids of _move_table: id c is placements[c]
+        ctx.cid(p)
+    moves = _move_table(g, spec.cops)
+    nb = [g.full & m for m in ctx.nvis]
+    for c, p in enumerate(placements):
+        if not nb[c]:
+            return Winner.COPS, 0, p, _Walk({}, 0)
+
+    # a state is the kernel's packed key of (cops tuple c, INV, territory T)
+    ps, cmask = ctx.ps, ctx.cmask
+    frontier = [c | t << ps for c, t in enumerate(nb)]
+    parent = dict.fromkeys(frontier, -1)
+    grown, grow = ctx.grown, g.grow
+    depth = 0
+    while frontier:
+        depth += 1
+        for key in frontier:
+            t = key >> ps
+            for a in moves[key & cmask]:
+                if not t & nb[a]:
+                    path = [key]
+                    while parent[path[-1]] >= 0:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    acts = [s & cmask for s in path[1:]] + [a]
+                    steps = {
+                        (s & cmask, s >> ps): (depth - i, act)
+                        for i, (s, act) in enumerate(zip(path, acts))
+                    }
+                    return Winner.COPS, depth, placements[path[0] & cmask], _Walk(steps, len(parent))
+        nxt = []
+        for key in frontier:
+            t = key >> ps
+            for a in moves[key & cmask]:
+                u = t & nb[a]
+                h = grown.get(u)
+                if h is None:
+                    h = grown[u] = grow(u)
+                s = a | (h & nb[a]) << ps
+                if s not in parent:
+                    parent[s] = key
+                    nxt.append(s)
+        frontier = nxt
+    return Winner.ROBBER, None, None, _Walk({}, len(parent))
+
+
 def _least_winning(
     g: Graph, ell: int, variant: Variant, *, budget: int, first: int = 1
 ) -> tuple[int, SolveOutcome]:
@@ -678,8 +790,10 @@ def cop_number(
     the iteration and raises BudgetExceeded with the partial findings.
 
     A count at which no solve could reach the budget (see
-    _states_bound) is decided by decide, unless the game is monotone or
-    retrograde is set; from the first count at which one could, the
+    _states_bound) is decided without a solve, unless the game is
+    monotone or retrograde is set: a seeing game, or a capture game at
+    radius 0, by the walk search (_clearing_walk), any other by decide.
+    From the first count at which a solve could reach the budget, the
     counts are solved.  The answer is the same either way.
     """
     return _cop_number(g, ell, variant, budget=budget, retrograde=retrograde)[0]
@@ -687,15 +801,17 @@ def cop_number(
 
 def _cop_number(
     g: Graph, ell: int, variant: Variant, *, budget: int, retrograde: bool
-) -> tuple[int, tuple[tuple[int, ...], _Antichains] | None]:
-    """cop_number, with decide's winning placement and antichains at the
-    answer, or None when a solve found it."""
+) -> tuple[int, tuple[tuple[int, ...], _Antichains | _Walk] | None]:
+    """cop_number, with the winning placement and strategy (decide's
+    antichains, or the clearing walk of an open-loop game) at the answer,
+    or None when a solve found it."""
     k = 1
     if not retrograde and variant is not Variant.MONOTONE_CAPTURE:
+        search = _clearing_walk if _open_loop(GameSpec(ell, 1, variant).resolve(g)) else _decide
         while budget >= _states_bound(g.n, k):
-            winner, _, placement, fx = _decide(g, GameSpec(ell, k, variant))
+            winner, _, placement, strategy = search(g, GameSpec(ell, k, variant))
             if winner is Winner.COPS:
-                return k, (placement, fx)
+                return k, (placement, strategy)
             k += 1
     return _least_winning(g, ell, variant, budget=budget, first=k)[0], None
 
@@ -710,10 +826,11 @@ def _states_bound(n: int, k: int, monotone: bool = False) -> int:
 
 
 def _monotone_number(
-    g: Graph, ell: int, k: int, placement: tuple[int, ...], fx: _Antichains, *, budget: int
+    g: Graph, ell: int, k: int, placement: tuple[int, ...], fx: _Antichains | _Walk, *, budget: int
 ) -> int:
     """The monotone number at radius ell, given the capture number k there
-    and decide's win at k, its placement and antichains.
+    and the capture win cop_number found at k: its placement and its
+    strategy fx (decide's antichains, or the clearing walk at radius 0).
 
     A monotone win is a capture win, so the answer is at least k.  It is k
     when fx.play, replayed from the placement under the monotone rule,
@@ -837,7 +954,7 @@ def profile(
     radius asks for the same game.
 
     A monotone number whose capture number k was decided comes from
-    replaying decide's capture win under the monotone rule (see
+    replaying the decided capture win under the monotone rule (see
     _monotone_number), where the budget is at least
     _states_bound(n, k, monotone=True), so that no monotone solve of at
     most k cops could stop; elsewhere, and with retrograde set, the
@@ -853,7 +970,7 @@ def profile(
     classical = blind = delayed = domination = None
     capture_at = see_at = monotone_at = domination_at = None
     numbers: dict[GameSpec, int] = {}
-    wins: dict[GameSpec, tuple[tuple[int, ...], _Antichains] | None] = {}
+    wins: dict[GameSpec, tuple[tuple[int, ...], _Antichains | _Walk] | None] = {}
 
     def number(ell: int, variant: Variant) -> int:
         game = GameSpec(ell, 1, variant).resolve(g)

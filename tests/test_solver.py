@@ -38,7 +38,9 @@ from lvcops.solver import (
     SolvedRobber,
     Winner,
     _Antichains,
+    _clearing_walk,
     _decide,
+    _open_loop,
     _states_bound,
     cop_number,
     decide,
@@ -613,6 +615,38 @@ def test_decide_matches_solve_on_every_non_monotone_game():
         decide(path(2), GameSpec(1, 3))
 
 
+# the open-loop games: under a seeing goal, or at radius 0, nothing is
+# ever sighted, so the cops learn nothing until they win
+OPEN_LOOP = ((0, Variant.SEE), (1, Variant.SEE), (2, Variant.SEE),
+             (0, Variant.CAPTURE), (0, Variant.ZERO_VIS))
+
+
+def _census_graphs():
+    """The first 20 graphs of the census benchmark."""
+    return [random_connected_graph(5 + i % 5, (i * 3) % (5 + i % 5 + 3), i) for i in range(20)]
+
+
+def test_clearing_walk_matches_decide_and_solve():
+    # the walk search gives solve's and decide's winner, depth and
+    # placement, and visits no state that solve does not intern
+    outcomes = set()
+    for g in list(_oracle_graphs()) + _census_graphs():
+        for ell, variant in OPEN_LOOP:
+            for k in (1, 2):
+                spec = GameSpec(ell, k, variant)
+                out = _solved(g, spec.resolve(g))
+                winner, depth, placement, walk = _clearing_walk(g, spec)
+                assert (winner, depth, placement) == (out.winner, out.depth, out.placement), (g.edges, spec)
+                assert decide(g, spec) == (winner, depth, placement), (g.edges, spec)
+                assert walk.states <= out.states, (g.edges, spec)
+                outcomes.add(depth)
+    assert {None, 0, 1, 2, 3} <= outcomes
+    with pytest.raises(ValueError):
+        _clearing_walk(cycle(4), GameSpec(1, 1))
+    with pytest.raises(ValueError):
+        _clearing_walk(cycle(4), GameSpec(0, 1, Variant.TIME_DELAYED))
+
+
 def test_sighted_games_match_information_set_search():
     # at radius >= 1 a sighting is not a capture, so the cops learn and the
     # open-loop search no longer applies
@@ -887,6 +921,39 @@ def test_antichain_closed_form_matches_kernel_rows():
     assert checked == {(tag, won) for tag in (INV, VIS, DEL) for won in (True, False)}
 
 
+def test_walk_closed_form_matches_kernel_rows():
+    # the walk search restates the kernel's round of an open-loop game as
+    # masks: the action a takes the territory T to the one INV territory
+    # grow(T & nb) & nb, nb = nvis[a], or wins when T & nb is 0; nothing
+    # is ever sighted
+    rng = random.Random(11)
+    checked = set()
+    for g in _oracle_graphs():
+        for spec in _all_specs(g, (0, 1, 2)):
+            if not _open_loop(spec):
+                continue
+            ctx = _Ctx(g, spec)
+            placements = list(itertools.combinations_with_replacement(range(g.n), spec.cops))
+            for p in placements:
+                ctx.cid(p)
+            for _ in range(40):
+                c = rng.randrange(len(placements))
+                a = rng.choice(ctx.moves(c))
+                nb = g.full & ctx.nvis[a]
+                t = rng.getrandbits(g.n) & g.full & ctx.nvis[c]
+                if not t:
+                    continue
+                key = ctx.encode((placements[c], INV, t, SNAP_FREE))
+                ((_, succs, seen),) = _expand(ctx, key, (a,))
+                assert seen == 0, (g.edges, spec, placements[c], a, t)
+                want = g.grow(t & nb) & nb
+                assert [(s & ctx.cmask, s >> ctx.cb & 3, s >> ctx.ps) for s in succs] == (
+                    [(a, INV, want)] if t & nb else []
+                ), (g.edges, spec, placements[c], a, t)
+                checked.add(bool(t & nb))
+    assert checked == {True, False}
+
+
 def test_solves_stay_under_the_decider_bound():
     # cop_number decides a count by decide only when the budget is at least
     # this bound, so no solve it stands in for could have stopped
@@ -955,6 +1022,31 @@ def test_decided_strategy_wins_within_depth():
     assert games > 500 and rooted > 250
 
 
+def test_clearing_walk_wins_in_depth_rounds():
+    # the walk read as a strategy, replayed through the turn views (which
+    # check each move's legality): the placement's one root plays at
+    # exactly depth rounds left, each round leaves one branch with one
+    # round fewer, and the last round leaves none
+    walked = set()
+    for g in _oracle_graphs():
+        for ell, variant in OPEN_LOOP:
+            for k in (1, 2):
+                spec = GameSpec(ell, k, variant)
+                winner, depth, placement, walk = _clearing_walk(g, spec)
+                if winner is not Winner.COPS:
+                    continue
+                cops_of = list(itertools.combinations_with_replacement(range(g.n), k))
+                states = initial_branches(g, spec, placement)
+                for left in range(depth, 0, -1):
+                    (state,) = states
+                    played, a = walk.play(cops_of.index(state.cops), state.tag, state.payload)
+                    assert played == left, (g.edges, spec, state)
+                    states = round_branches(g, spec, state, cops_of[a])
+                assert states == (), (g.edges, spec)
+                walked.add(depth)
+    assert {0, 1, 2, 3} <= walked
+
+
 def test_decided_antichains_stay_antichains():
     # X[c] holds maximal territories only, and every territory it ever held
     # (kept[c]) lies below one it holds at the end, the winning root too
@@ -993,9 +1085,7 @@ def test_retrograde_profile_matches_the_decided_one():
     # the witness screen solves every count; the numbers must not depend on
     # it, nor on a monotone number coming from a replayed capture win
     cases = [(g, (0, 1, 2)) for g in _oracle_graphs()] + [(NON_MONOTONE, (0, 1))]
-    for i in range(20):
-        n = 5 + i % 5
-        cases.append((random_connected_graph(n, (i * 3) % (n + 3), i), (1, 2)))
+    cases += [(g, (1, 2)) for g in _census_graphs()]
     for g, radii in cases:
         assert profile(g, radii, retrograde=True) == profile(g, radii), (g.edges, radii)
 
@@ -1186,6 +1276,40 @@ def test_profile_solves_each_resolved_game_once(monkeypatch):
     p = profile(cycle(5), (0, 1, 2))
     assert len(games) == len(set(games)) == 10
     assert p.classical == p.capture_at[2] and p.blind == p.capture_at[0]
+
+
+def test_cop_number_walks_the_open_loop_games(monkeypatch):
+    # under the budget guard a seeing game, at any radius, and a capture
+    # game at radius 0 are decided by the walk search; a capture game at
+    # radius 1 or more and the time-delayed game by decide
+    from lvcops import solver
+
+    called = []
+    for name in ("_clearing_walk", "_decide"):
+        def recording(g, spec, real=getattr(solver, name), name=name):
+            called.append((name, spec.resolve(g)))
+            return real(g, spec)
+
+        monkeypatch.setattr(solver, name, recording)
+    g = cycle(6)  # diameter 3
+    cases = [
+        (0, Variant.SEE, "_clearing_walk"),
+        (1, Variant.SEE, "_clearing_walk"),
+        (2, Variant.SEE, "_clearing_walk"),
+        (0, Variant.CAPTURE, "_clearing_walk"),
+        (0, Variant.ZERO_VIS, "_clearing_walk"),
+        (1, Variant.CAPTURE, "_decide"),
+        (2, Variant.CAPTURE, "_decide"),
+        (0, Variant.CLASSICAL, "_decide"),
+        (0, Variant.TIME_DELAYED, "_decide"),
+        (1, Variant.TIME_DELAYED, "_decide"),
+    ]
+    for ell, variant, name in cases:
+        called.clear()
+        k = cop_number(g, ell, variant)
+        assert k == cop_number(g, ell, variant, retrograde=True), (ell, variant)
+        want = GameSpec(ell, 1, variant).resolve(g)
+        assert called == [(name, GameSpec(want.ell, i, want.variant)) for i in range(1, k + 1)], (ell, variant)
 
 
 def test_profile_monotone_numbers_from_replay_or_solves(monkeypatch):
