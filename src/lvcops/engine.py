@@ -41,7 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple, Protocol
+from typing import Iterable, Iterator, NamedTuple, Protocol
 
 from .graphs import Graph, InputError, VertexSet, bits, mask_of
 
@@ -170,45 +170,113 @@ def _match_step(g: Graph, old, new) -> list[int]:
 # (perfbench/tracer.py) would put a span on each of their per-state calls.
 
 
+class _Tuples:
+    """The cops tuples of k cops on a graph by id, with what depends on the
+    graph and k alone: occupancy masks occ[c] and the move lists.  cid gives
+    an unseen tuple the next id, at most size = comb(n + k - 1, k) of them,
+    so a context's id field cannot overflow.  The solver's games share one
+    table per (graph, k) (_tuples) that only placements() extends, so its
+    ids are the placements in order and a solve stopped by its budget among
+    the roots lists no more of them than it met.  A turn view fills a table
+    of its own with the tuples a playout meets.
+    """
+
+    __slots__ = ("k", "size", "adjc", "ids", "cops_of", "occ", "_moves")
+
+    def __init__(self, g: Graph, k: int) -> None:
+        self.k = k
+        self.size = math.comb(g.n + k - 1, k)
+        self.adjc = g.adj_closed
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.cops_of: list[tuple[int, ...]] = []
+        self.occ: list[VertexSet] = []
+        self._moves: tuple[tuple[int, ...], ...] | None = None
+
+    def cid(self, cops: tuple[int, ...]) -> int:
+        """The id of a sorted cops tuple, assigned on first sight."""
+        c = self.ids.get(cops)
+        if c is None:
+            if len(cops) != self.k:
+                raise IllegalMove(f"expected {self.k} cops, got {len(cops)}")
+            if len(self.cops_of) == self.size:
+                raise IllegalMove(f"{cops} is not a sorted tuple of vertices")
+            c = self.ids[cops] = len(self.cops_of)
+            self.cops_of.append(cops)
+            self.occ.append(mask_of(cops))
+        return c
+
+    def placements(self) -> Iterator[tuple[int, ...]]:
+        """The tuples in combinations order, each given its id as the walk
+        reaches it; a walk to the end completes the table."""
+        if len(self.cops_of) == self.size:
+            yield from self.cops_of
+            return
+        for cops in itertools.combinations_with_replacement(range(len(self.adjc)), self.k):
+            self.cid(cops)
+            yield cops
+
+    def moves(self) -> tuple[tuple[int, ...], ...]:
+        """By id, the action ids one half-move from each tuple of a complete
+        table: every distinct sorted tuple, in the order of its first
+        occurrence in the product of the cops' sorted closed neighbourhoods.
+        Built once; the build sorts each raw (unsorted) product tuple once,
+        not once per cops tuple whose product holds it."""
+        if self._moves is None:
+            if len(self.cops_of) != self.size:
+                raise ValueError("the move lists need every placement's id")
+            step = [list(bits(m)) for m in self.adjc]
+            ids, raw, out = self.ids, {}, []
+            for cops in self.cops_of:
+                acts = []
+                for combo in itertools.product(*[step[v] for v in cops]):
+                    a = raw.get(combo)
+                    if a is None:
+                        a = raw[combo] = ids[tuple(sorted(combo))]
+                    acts.append(a)
+                out.append(tuple(dict.fromkeys(acts)))
+            self._moves = tuple(out)
+        return self._moves
+
+
+def _tuples(g: Graph, k: int) -> _Tuples:
+    """The table of k cops on g that the solver's games share.  It is kept
+    on the graph, so it dies with the graph."""
+    tab = g._tuple_tables.get(k)
+    if tab is None:
+        tab = g._tuple_tables[k] = _Tuples(g, k)
+    return tab
+
+
 class _Ctx:
     """Per-solve tables and the packed-key codec.
 
     The kernel's states are ints: a key (cops, tag, payload, snapshot) packs
     as cid | tag << cb | (snapshot + 1) << ss | payload << ps, where cid is
-    the id of the sorted cops tuple.  Ids are handed out on first sight, so
-    building a context costs nothing per tuple.  cb fits every multiset of
-    k cops on n vertices and the snapshot field is n + 1 bits wide, so the
-    packing is injective on well-formed keys.  Among keys with one cops
+    the id of the sorted cops tuple in the context's table (_Tuples, by
+    default the complete one of its graph and cop count).  cb fits every id
+    the table can hand out and the snapshot field is n + 1 bits wide, so
+    the packing is injective on well-formed keys.  Among keys with one cops
     tuple and one tag, int order is the order of their key tuples.
 
     An id is also an action.  For the tuple cops_of[a], with its visibility
-    mask vis (the union of its balls), the context computes once its
-    occupancy mask occ[a], the out-of-sight vertices nvis[a] = ~vis, and
-    sight[a], where a sighted evader stays in play: vis & ~occ[a], or
-    nothing under a seeing goal, where a sighting ends the game.  moves(c)
-    lists the action ids one half-move from c.  grown memoizes grow() of
-    each unseen territory.  seen memoizes, per (sighted set, action), the
-    part of an INV row that the territory vertices in sight after the cop
-    move give: the keys of their escapes out of sight and the union of
-    their steps.  It starts afresh at _SEEN_MEMO_CAP entries.
-
-    moves(c) is memoized per tuple, and the id of each raw (unsorted)
-    product tuple is memoized across tuples, so a product tuple is sorted
-    once per context rather than once per cops tuple whose product holds
-    it.  The order stays that of first occurrence in the product: the
-    memo maps a raw tuple to the id its sorted form would get, and the
-    ids are deduped in product order.
+    mask vis (the union of its balls), the context computes once the
+    out-of-sight vertices nvis[a] = ~vis and sight[a], where a sighted
+    evader stays in play: vis & ~occ[a], or nothing under a seeing goal,
+    where a sighting ends the game; occ and the move lists are the table's.  grown
+    memoizes grow() of each unseen territory.  seen memoizes, per (sighted
+    set, action), the part of an INV row that the territory vertices in
+    sight after the cop move give: the keys of their escapes out of sight
+    and the union of their steps.  It starts afresh at _SEEN_MEMO_CAP
+    entries.
     """
 
     __slots__ = (
-        "g", "k", "see", "mono", "delayed", "adjc", "grown", "seen", "_balls",
-        "cb", "ss", "ps", "cmask", "smask", "_cid", "cops_of", "occ", "nvis", "sight",
-        "_moves", "_raw",
+        "g", "see", "mono", "delayed", "adjc", "grown", "seen", "_balls",
+        "cb", "ss", "ps", "cmask", "smask", "tab", "cops_of", "occ", "nvis", "sight",
     )
 
-    def __init__(self, g: Graph, spec: GameSpec) -> None:
+    def __init__(self, g: Graph, spec: GameSpec, tab: _Tuples | None = None) -> None:
         self.g = g
-        self.k = spec.cops
         self.see = spec.see_goal
         self.mono = spec.monotone
         self.delayed = spec.delayed
@@ -216,64 +284,41 @@ class _Ctx:
         self.grown: dict[VertexSet, VertexSet] = {}
         self.seen: dict[int, tuple[tuple[int, ...], VertexSet]] = {}
         self._balls = g.balls(spec.ell)
-        self.cb = (math.comb(g.n + spec.cops - 1, spec.cops) - 1).bit_length()
+        if tab is None:  # the shared table, complete
+            tab = _tuples(g, spec.cops)
+            for _ in tab.placements():
+                pass
+        self.tab = tab
+        self.cb = (tab.size - 1).bit_length()
         self.ss = self.cb + 2
         self.ps = self.ss + g.n + 1
         self.cmask = (1 << self.cb) - 1
         self.smask = (1 << (g.n + 1)) - 1
-        self._cid: dict[tuple[int, ...], int] = {}
-        self.cops_of: list[tuple[int, ...]] = []
-        self.occ: list[VertexSet] = []
+        self.cops_of, self.occ = tab.cops_of, tab.occ
         self.nvis: list[int] = []
         self.sight: list[VertexSet] = []
-        self._moves: dict[int, tuple[int, ...]] = {}
-        self._raw: dict[tuple[int, ...], int] = {}
+        self._masks()
+
+    def _masks(self) -> None:
+        """nvis and sight of every tuple of the table that lacks them."""
+        for c in range(len(self.nvis), len(self.cops_of)):
+            bm = _ball_union(self._balls, self.cops_of[c])
+            self.nvis.append(~bm)
+            self.sight.append(0 if self.see else bm & ~self.occ[c])
 
     def cid(self, cops: tuple[int, ...]) -> int:
-        """The id of a sorted cops tuple, assigned on first sight."""
-        c = self._cid.get(cops)
-        if c is None:
-            if len(cops) != self.k:
-                raise IllegalMove(f"expected {self.k} cops, got {len(cops)}")
-            c = self._cid[cops] = len(self.cops_of)
-            self.cops_of.append(cops)
-            am, bm = mask_of(cops), _ball_union(self._balls, cops)
-            self.occ.append(am)
-            self.nvis.append(~bm)
-            self.sight.append(0 if self.see else bm & ~am)
+        """The table's id of a sorted cops tuple, with its masks."""
+        c = self.tab.cid(cops)
+        if c >= len(self.nvis):
+            self._masks()
         return c
 
-    def moves(self, c: int) -> tuple[int, ...]:
-        """The action ids one half-move away from the cops tuple c: every
-        distinct sorted tuple, in the order of its first occurrence in the
-        product of the cops' sorted closed neighbourhoods."""
-        hit = self._moves.get(c)
-        if hit is not None:
-            return hit
-        cid = self.cid
-        cops = self.cops_of[c]
-        if self.k == 1:
-            # the product of one ascending list: distinct 1-tuples, in order
-            out = self._moves[c] = tuple([cid((v,)) for v in bits(self.adjc[cops[0]])])
-            return out
-        raw = self._raw
-        ids = []
-        for combo in itertools.product(*[list(bits(self.adjc[v])) for v in cops]):
-            a = raw.get(combo)
-            if a is None:
-                a = raw[combo] = cid(tuple(sorted(combo)))
-            ids.append(a)
-        out = self._moves[c] = tuple(dict.fromkeys(ids))
-        return out
-
     def forget(self) -> None:
-        """Empty the memos (grown, seen, the move lists and the raw tuple
-        ids).  The codec and the per-tuple masks stay, so a finished solve's
-        index can decode and find keys without keeping the memos alive."""
+        """Empty the context's memos (grown and seen).  The codec, the
+        per-tuple masks and the table stay, so a finished solve's index can
+        decode and find keys without keeping the memos alive."""
         self.grown.clear()
         self.seen.clear()
-        self._moves.clear()
-        self._raw.clear()
 
     def encode(self, key) -> int:
         """Pack a well-formed key, giving its cops an id if they lack one."""
@@ -286,7 +331,7 @@ class _Ctx:
         aliases one key onto another."""
         try:
             cops, tag, payload, snap = key
-            c = self._cid.get(cops)
+            c = self.tab.ids.get(cops)
         except (TypeError, ValueError):
             return None
         # the payload is the top field, so only a snapshot too wide for
@@ -466,10 +511,11 @@ def _expand(ctx: _Ctx, key: int, acts) -> list[tuple[int, tuple[int, ...], Verte
 @functools.lru_cache(maxsize=4)
 def _view_ctx(g: Graph, spec: GameSpec) -> _Ctx:
     """The context the views share per graph and resolved spec, so a
-    playout assigns each cops tuple its id and masks once.  It is a memo:
-    ids are private to the context, so what it holds never changes what a
-    view returns.  A playout uses one to three specs on one graph."""
-    return _Ctx(g, spec)
+    playout assigns each cops tuple its id and masks once.  It is a memo
+    with a table of its own, holding only the tuples the playout met, so it
+    never changes what a view returns and never enumerates every multiset.
+    A playout uses one to three specs on one graph."""
+    return _Ctx(g, spec, _Tuples(g, spec.cops))
 
 
 def _states(ctx: _Ctx, keys: Iterable[int]) -> tuple[BeliefState, ...]:
@@ -497,8 +543,6 @@ def initial_branches(
     """
     spec = spec.resolve(g)
     cops = tuple(sorted(placement))
-    if len(cops) != spec.cops:
-        raise IllegalMove(f"expected {spec.cops} cops, got {len(cops)}")
     ctx = _view_ctx(g, spec)
     return _states(ctx, _initial_keys(ctx, ctx.cid(cops), g.full))
 

@@ -74,6 +74,7 @@ class Graph:
 
     __slots__ = (
         "n", "edges", "adj", "adj_closed", "dist", "_ball_cache", "_grow_tables", "_hash",
+        "_tuple_tables",
     )
 
     def __init__(self, n: int, edges) -> None:
@@ -100,6 +101,7 @@ class Graph:
         self._ball_cache: dict[int, tuple[VertexSet, ...]] = {}
         self._grow_tables: tuple[list[VertexSet], ...] | None = None
         self._hash: str | None = None
+        self._tuple_tables: dict = {}  # engine._tuples, per cop count
 
     def _distances(self) -> tuple[tuple[int, ...], ...]:
         """All-pairs distances, INF between components.

@@ -107,8 +107,6 @@ monotone solve.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import os
 from array import array
@@ -130,6 +128,7 @@ from .engine import (
     _Ctx,
     _expand,
     _initial_keys,
+    _tuples,
     _vis_keys,
     initial_branches,
     robber_turn,
@@ -274,7 +273,9 @@ def solve(
     """
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
-    ctx = _Ctx(g, spec)
+    # the table's ids are given out as the roots reach them, so a budget
+    # stop among the roots lists no more placements than it met
+    ctx = _Ctx(g, spec, _tuples(g, spec.cops))
 
     index: dict[int, int] = {}  # packed key -> row
     keys: list[int] = []
@@ -293,7 +294,7 @@ def solve(
         return SolveOutcome(Winner.INCONCLUSIVE, budget, tuple(wave_sizes), None, None, g, spec)
 
     placement_roots: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for p in itertools.combinations_with_replacement(range(g.n), spec.cops):
+    for p in ctx.tab.placements():
         roots = []
         for k in _initial_keys(ctx, ctx.cid(p), g.full):
             i = index.get(k)
@@ -310,9 +311,9 @@ def solve(
     cmask, ps = ctx.cmask, ctx.ps
     tmask, vtag = 3 << ctx.cb, VIS << ctx.cb
     # Every sighted successor is a root: the evader seen on v with the cops
-    # on a is a branch of the placement a's opening split.  Every tuple got
-    # its id as a placement above, so root_row[a * n + v] is that root's
-    # row.  Only a game with sightings has VIS states.
+    # on a is a branch of the placement a's opening split.  Every tuple is
+    # a placement above, so root_row[a * n + v] is that root's row.  Only a
+    # game with sightings has VIS states.
     root_row = array("i")
     if not (spec.see_goal or spec.delayed):
         root_row = array("i", bytes(4 * n * len(ctx.cops_of)))
@@ -322,7 +323,7 @@ def solve(
 
     # States are interned in discovery order and expanded in index order:
     # each wave is the run of indices interned while expanding the last.
-    moves = ctx.moves
+    moves = ctx.tab.moves()
     get = index.get
     # A VIS row depends on the evader's vertex and the action alone, so it
     # is built and interned once per solve: key ^ c | a (the key with its
@@ -336,7 +337,7 @@ def solve(
             key = keys[i]
             c = key & cmask
             if key & tmask == vtag:
-                acts = moves(c)
+                acts = moves[c]
                 base = key ^ c
                 rows = [vis_get(base | a) for a in acts]
                 if None in rows:
@@ -373,7 +374,7 @@ def solve(
                     for j in row:
                         preds[j].append(slot)
                 continue
-            rows = _expand(ctx, key, moves(c))
+            rows = _expand(ctx, key, moves[c])
             win = -1
             for a, succ_keys, seen in rows:
                 if not (succ_keys or seen):
@@ -462,21 +463,10 @@ def solve(
     )
 
 
-@functools.lru_cache(maxsize=8)
-def _move_table(g: Graph, k: int) -> tuple[tuple[int, ...], ...]:
-    """ctx.moves of every cops tuple of k cops on g, by id, with the ids
-    handed out in placement (combinations_with_replacement) order.  The
-    moves depend on the graph and k alone, so the games of a profile share
-    the table; a few (graph, k) pairs are kept."""
-    ctx = _Ctx(g, GameSpec(0, k))
-    for p in itertools.combinations_with_replacement(range(g.n), k):
-        ctx.cid(p)
-    return tuple(map(ctx.moves, range(len(ctx.cops_of))))
-
-
 class _Antichains:
     """decide's won sets of one game at one level of the fixpoint (see the
-    module docstring), per cops tuple id c, ids in placement order.
+    module docstring), per cops tuple id c of the game's context, whose
+    ids are the placements in order (engine._tuples).
 
     dom[c] holds every territory of c: the vertices out of sight, or in
     the time-delayed game every vertex off the cops.  X[c] maps each
@@ -510,11 +500,6 @@ class _Antichains:
         self.V = [0] * len(ctx.occ)
         self.kept: list[list[tuple[int, int, int]]] = [[] for _ in ctx.occ]
         self.sighted: list[list[tuple[int, int, int]]] = [[] for _ in ctx.occ]
-
-    def insert(self, c: int, t: int, level: int, a: int) -> bool:
-        """Add the territory t, won at level by the action a, to X[c];
-        False if it lies below one there already."""
-        return self.insert_all(c, {t: a}, level)
 
     def insert_all(self, c: int, got: dict[int, int], level: int) -> bool:
         """Add each territory t of got, won at level by the action got[t],
@@ -600,10 +585,7 @@ def _decide(
     if spec.monotone:
         raise ValueError("the monotone game's won states are not closed downward")
     ctx = _Ctx(g, spec)
-    placements = list(itertools.combinations_with_replacement(range(g.n), spec.cops))
-    for p in placements:  # the ids of _move_table: id c is placements[c]
-        ctx.cid(p)
-    moves = _move_table(g, spec.cops)
+    placements, moves = ctx.cops_of, ctx.tab.moves()
     fx = _Antichains(g, ctx, spec.delayed)
     dom, sight, V = fx.dom, fx.sight, fx.V
     sighted = any(sight)
@@ -629,7 +611,7 @@ def _decide(
         # per tuple, each territory offered to it -> the first action offering it
         offers: defaultdict[int, dict[int, int]] = defaultdict(dict)
         for a, ok, news in handed:
-            # a step is reversible, so the predecessors of a are moves(a)
+            # a step is reversible, so the predecessors of a are moves[a]
             pre = moves[a]
             if sighted:
                 for c in pre:
@@ -649,7 +631,7 @@ def _decide(
             if not r or r in fx.X[c]:
                 return Winner.COPS, depth, placements[c], fx
             if r in got:
-                fx.insert(c, r, depth, got[r])
+                fx.insert_all(c, {r: got[r]}, depth)
                 return Winner.COPS, depth, placements[c], fx
         for c, got in offers.items():
             got.pop(0, None)
@@ -710,10 +692,7 @@ def _clearing_walk(
     if not _open_loop(spec):
         raise ValueError("only a game with nothing ever sighted is won by a walk")
     ctx = _Ctx(g, spec)
-    placements = list(itertools.combinations_with_replacement(range(g.n), spec.cops))
-    for p in placements:  # the ids of _move_table: id c is placements[c]
-        ctx.cid(p)
-    moves = _move_table(g, spec.cops)
+    placements, moves = ctx.cops_of, ctx.tab.moves()
     nb = [g.full & m for m in ctx.nvis]
     for c, p in enumerate(placements):
         if not nb[c]:
@@ -840,9 +819,7 @@ def _monotone_number(
     no monotone solve of at most k cops could reach the budget, so no
     count below k could have stopped a search from 1.
     """
-    ctx = _Ctx(g, GameSpec(ell, k, Variant.MONOTONE_CAPTURE))
-    for p in itertools.combinations_with_replacement(range(g.n), k):
-        ctx.cid(p)  # decide's ids
+    ctx = _Ctx(g, GameSpec(ell, k, Variant.MONOTONE_CAPTURE))  # decide's ids
     cb, ps, cmask = ctx.cb, ctx.ps, ctx.cmask
     todo = list(_initial_keys(ctx, ctx.cid(placement), g.full))
     met = set(todo)

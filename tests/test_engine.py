@@ -410,3 +410,18 @@ def test_play_match_belief_consistency_random():
             g, spec, ScriptedCops(Script(tuple(walks))), RandomRobber(trial), max_rounds=12
         )
         assert tr.outcome in (Outcome.CAPTURED, Outcome.SEEN, Outcome.TIMEOUT)
+
+
+def test_play_match_views_hold_only_the_tuples_met():
+    # the turn views give an id to each cops tuple a playout meets, from a
+    # table of their own: 12 cops on 40 vertices have comb(51, 12), about
+    # 1.6e11, placements, which a view must never enumerate
+    from lvcops import engine
+
+    g = path(40)
+    spec = GameSpec(1, 12)
+    script = Script(tuple((3 * i, 3 * i + 1, 3 * i + 2) for i in range(12)))
+    play_match(g, spec, ScriptedCops(script), RandomRobber(0), max_rounds=4)
+    met = {script.positions(r) for r in range(script.rounds + 1)}
+    met_by_view = engine._view_ctx(g, spec).cops_of
+    assert met_by_view and set(met_by_view) <= met

@@ -18,11 +18,13 @@ from lvcops.engine import (
     VIS,
     BeliefState,
     GameSpec,
+    IllegalMove,
     Outcome,
     Script,
     Variant,
     _Ctx,
     _expand,
+    _tuples,
     initial_branches,
     play_match,
     round_branches,
@@ -331,13 +333,20 @@ def test_index_view_round_trips_and_refuses_foreign_keys(
 
 def test_finished_solve_index_holds_no_memos():
     # replay reads a solve through its index, which needs the codec alone:
-    # the kernel's memos (grown territories, sightings, move lists, raw
-    # tuple ids) are emptied when solve returns
+    # the context's memos (grown territories, sightings) are emptied when
+    # solve returns.  The move lists are not the solve's: they belong to the
+    # table of its (graph, k), which lives with the graph and holds at most
+    # one entry per cops tuple in each store; the ids of raw product tuples,
+    # up to n^k of them, are kept only while the move lists are built
     for recipe, spec in (("randomtree:n=12,seed=4", GameSpec(1, 2)),
                          ("subdivided:2,1", GameSpec(1, 2, Variant.MONOTONE_CAPTURE))):
         out = solve(_pinned_graph(recipe), spec)
         ctx = out.index._ctx
-        assert (ctx.grown, ctx.seen, ctx._moves, ctx._raw) == ({}, {}, {}, {})
+        assert (ctx.grown, ctx.seen) == ({}, {})
+        tab = ctx.tab
+        assert tab is _tuples(out.graph, spec.cops)
+        stores = [getattr(tab, name) for name in type(tab).__slots__]
+        assert all(len(x) <= tab.size for x in stores if hasattr(x, "__len__"))
         assert [out.index[key] for key in out.index] == list(range(out.states))
         assert SolvedCops(out).move(out.graph, spec, BeliefState(*next(iter(out.index))))
 
@@ -706,7 +715,7 @@ def _kernel_rows(ctx, key):
     vertices spelt out as VIS key tuples."""
     rows = [
         (a, ctx.cops_of[a], tuple(map(ctx.decode, succs)), list(bits(seen)))
-        for a, succs, seen in _expand(ctx, ctx.encode(key), ctx.moves(ctx.cid(key[0])))
+        for a, succs, seen in _expand(ctx, ctx.encode(key), ctx.tab.moves()[ctx.cid(key[0])])
     ]
     full = [(cops, succs + tuple((cops, VIS, v, SNAP_FREE) for v in seen)) for _, cops, succs, seen in rows]
     return rows, full
@@ -896,11 +905,11 @@ def test_antichain_closed_form_matches_kernel_rows():
             tag = DEL if spec.delayed else INV
             for _ in range(40):
                 c = rng.randrange(len(placements))
-                a = rng.choice(ctx.moves(c))
+                a = rng.choice(ctx.tab.moves()[c])
                 m = rng.getrandbits(g.n) & fx.dom[a]
                 fx.X[a], fx.inter[a] = {}, g.grow(fx.dom[a])
                 if m:
-                    fx.insert(a, m, 1, a)
+                    fx.insert_all(a, {m: a}, 1)
                 fx.V[a] = rng.getrandbits(g.n) & fx.sight[a]
                 ok, (t_am,) = fx.offers(a)
 
@@ -938,7 +947,7 @@ def test_walk_closed_form_matches_kernel_rows():
                 ctx.cid(p)
             for _ in range(40):
                 c = rng.randrange(len(placements))
-                a = rng.choice(ctx.moves(c))
+                a = rng.choice(ctx.tab.moves()[c])
                 nb = g.full & ctx.nvis[a]
                 t = rng.getrandbits(g.n) & g.full & ctx.nvis[c]
                 if not t:
@@ -1095,9 +1104,10 @@ def test_move_order_is_first_occurrence_in_the_product():
     # the first occurrence of each sorted tuple in the product of the cops'
     # sorted closed neighbourhoods (from g.dist); each action id's masks
     # are its tuple's occupancy, the complement of the union of its balls,
-    # and that union less the occupancy.  One context
-    # serves every tuple of a (graph, k), so later tuples reuse the ids its
-    # earlier ones gave to raw product tuples
+    # and that union less the occupancy.  One table serves every tuple of
+    # a (graph, k): its tuples are the placements, in combinations order,
+    # and later tuples reuse the ids its earlier ones gave to raw product
+    # tuples
     rng = random.Random(23)
     graphs = [random_connected(rng.randrange(2, 9), rng.randrange(0, 6), rng) for _ in range(30)]
     # a wheel: hub 0, of degree 7, joined to every vertex of the cycle 1..7
@@ -1109,11 +1119,13 @@ def test_move_order_is_first_occurrence_in_the_product():
             ell = rng.randrange(0, 3)
             near = _near(g, ell)
             ctx = _Ctx(g, GameSpec(ell, k))
+            assert ctx.tab is _tuples(g, k)
+            assert ctx.cops_of == list(itertools.combinations_with_replacement(range(g.n), k))
             for cops in itertools.combinations_with_replacement(range(g.n), k):
                 want = {}
                 for combo in itertools.product(*(step[v] for v in cops)):
                     want.setdefault(tuple(sorted(combo)), None)
-                acts = ctx.moves(ctx.cid(cops))
+                acts = ctx.tab.moves()[ctx.cid(cops)]
                 assert [ctx.cops_of[a] for a in acts] == list(want), (g.edges, cops)
                 for a in acts:
                     a_cops = ctx.cops_of[a]
@@ -1124,6 +1136,44 @@ def test_move_order_is_first_occurrence_in_the_product():
                     assert ctx.sight[a] == sighted & ~ctx.occ[a]
                 checked += 1
     assert checked > 1000
+
+
+def test_profile_builds_one_cops_table_per_cop_count(monkeypatch):
+    # every game of a profile reads the one table of its graph and cop
+    # count, kept on the graph, and a complete table never grows, so its
+    # ids fit the codec
+    g = random_connected_graph(7, 4, 3)  # a fresh graph: no table yet
+    read = []
+    init = _Ctx.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        read.append(self.tab)
+
+    monkeypatch.setattr(_Ctx, "__init__", recording_init)
+    prof = profile(g, (1, 2))
+    numbers = [prof.classical, prof.blind, prof.delayed]
+    for at in (prof.capture_at, prof.see_at, prof.monotone_at):
+        numbers += at.values()
+    reached = range(1, max(numbers) + 1)
+    assert len(read) > len(reached) == len(g._tuple_tables)
+    assert {id(tab) for tab in read} == {id(_tuples(g, k)) for k in reached}
+    for k in reached:
+        tab = _tuples(g, k)
+        size = math.comb(g.n + k - 1, k)
+        with pytest.raises(IllegalMove):
+            tab.cid((g.n,) * k)
+        assert len(tab.cops_of) == size <= 1 << _Ctx(g, GameSpec(1, k)).cb
+
+
+def test_budget_stop_among_the_roots_lists_few_placements():
+    # 12 cops on a 40-vertex path have comb(51, 12), about 1.6e11,
+    # placements: a solve stopped by its budget among the roots gives ids
+    # only to the placements it met, one root each at radius 0
+    g = path(40)
+    out = solve(g, GameSpec(0, 12), budget=100)
+    assert (out.winner, out.states) == (Winner.INCONCLUSIVE, 100)
+    assert len(_tuples(g, 12).cops_of) == 101
 
 
 def test_solve_memory_per_state():
