@@ -598,8 +598,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         # numbers fall as the radius grows, so no gap is possible
         if any(h.adj_closed[v] == h.full for v in range(h.n)):
             return None
-        # the screen solves its games rather than decide them, so the
-        # witness benchmark's traced solve counts still see its work
+        # the screen solves every count: its solves intern and count their
+        # states, so the witness benchmark's traced solve counts still see
+        # its work, and answer by decide or the walk search as any solve does
         first = profile(h, (ell,), parts=("capture",), budget=args.budget, retrograde=True)
         if first.capture_at.get(ell) != 2:
             return None

@@ -1,5 +1,6 @@
-"""Exact solving of the pursuit games by retrograde analysis, and deciding
-them by antichains or, where nothing is ever sighted, by a walk search.
+"""Exact solving of the pursuit games: expanding each to closure, then
+answering by retrograde analysis, by antichains or, where nothing is ever
+sighted, by a walk search.
 
 The game is an AND-OR reachability game over belief states: the cops pick
 an action (OR), then every adversary-consistent branch must already be
@@ -19,28 +20,35 @@ Layout of a solve:
      root belief states the kernel's opening split gives;
   2. expand the reachable set breadth-first to closure with the kernel
      (one round per legal cop action), serially, interning states in a
-     fixed discovery order and giving each (state, action) pair
-     with a nonempty successor set one slot in flat arrays: its unmet
-     successor count, its state and its action id, plus per-state arrays
-     of the slots that wait on that state.  The discovery order, the state
+     fixed discovery order (_close).  The discovery order, the state
      count, and everything derived from them are fixed by the graph and
-     the spec alone.  A kernel row names its sighted (VIS) successors by a
-     vertex mask.  Each of them is a root, interned in step 1, so its row
-     is read from the roots' row table and nothing is packed, hashed or
-     interned for it.  A VIS state is a root too, so all of them are
-     expanded in the first wave.  Its row for an action depends on the
-     evader's vertex and the action, not on the cops tuple it is played
-     from, so within that wave it is built once and kept as its
-     successors' rows; a later state with the same vertex and action
-     reads it instead of calling the kernel.  Its successors were
-     interned when the row was first built, so a read interns nothing,
-     and the interning order, budget stops and first-completing actions
-     are those of a solve that expands every row;
-  3. propagate wins wave-synchronously over the slots.  A state's wave is
-     the number of cop moves needed against the worst adversary; the
-     recorded action is the first to complete, under a fixed enumeration
-     order;
-  4. the cops win the game iff some placement has every root branch won.
+     the spec alone.  A VIS state is a root, so all of them are expanded
+     in the first wave.  Its row for an action depends on the evader's
+     vertex and the action, not on the cops tuple it is played from, so
+     within that wave it is built once and kept as its successors' rows;
+     a later state with the same vertex and action reads it instead of
+     calling the kernel.  Its successors were interned when the row was
+     first built, so a read interns nothing, and the interning order and
+     budget stops are those of a solve that expands every row;
+  3. answer.  The monotone game is answered by the retrograde propagation
+     (_retrograde).  Its closure also gives each (state, action) pair with
+     a nonempty successor set one slot in flat arrays: its unmet successor
+     count, its state and its action id, plus per-state arrays of the
+     slots that wait on that state.  A kernel row names its sighted (VIS)
+     successors by a vertex mask.  Each of them is a root, interned in
+     step 1, so its row is read from the roots' row table and nothing is
+     packed, hashed or interned for it.  Wins propagate wave-synchronously
+     over the slots: a state's wave is the number of cop moves needed
+     against the worst adversary, and the recorded action is the first to
+     complete, under a fixed enumeration order.  The cops win iff some
+     placement has every root branch won.  Every other game's won states
+     are closed downward, and its closure keeps no slots: once it
+     completes, the walk search answers an open-loop game and decide any
+     other, from the closure's context, with the winner, depth and
+     placement the propagation gives;
+  4. the per-state tables (won, wave, recorded action) of a game that was
+     not propagated are built when a caller first reads them, by a
+     retrograde solve of the same game (SolveOutcome).
 
 The store is compact: a state is the kernel's packed int (see engine._Ctx)
 mapped to its row in one dict, and every per-slot and per-row table is an
@@ -51,8 +59,9 @@ vertex.
 
 The state budget is a hard cap on interned states.  Hitting it aborts with
 winner INCONCLUSIVE and states equal to the cap, never a guessed answer.
-The cut happens at a fixed point of the deterministic discovery stream, so
-budgeted runs are reproducible too.
+The cut happens at a fixed point of the deterministic discovery stream, in
+the closure, before any answer is sought, so budgeted runs are
+reproducible too, and the same with or without slots.
 
 Deciding without states (decide).  In every game but the monotone one the
 won states are closed downward in the territory: each successor of a
@@ -87,8 +96,9 @@ cop_number walks the open-loop games and calls decide on the rest, but
 only where no solve could reach the budget: a state is one cops tuple
 and either a nonempty vertex set or one vertex, so a budget of
 comb(n + k - 1, k) * (2**n + n) states cannot bind, and the budget stops
-stay exactly as they were; with retrograde set it solves every count.
-decide keeps the antichains for the open-loop games too: beyond that
+stay exactly as they were; with retrograde set it solves every count,
+which interns every state, so each budget stop is met, and then answers
+by the same walk or decide.  decide keeps the antichains for the open-loop games too: beyond that
 guard the walk's states outgrow them.
 
 decide's levels are also a strategy.  Each territory kept in X[c] is
@@ -212,7 +222,12 @@ class SolveOutcome:
     and chosen are int32 arrays, and action(i) decodes chosen[i].  All four
     are empty when INCONCLUSIVE.  Replay reads the solve through index
     alone (SolvedCops, SolvedRobber).  policy, the key-level view of the
-    recorded actions, is built on first access and is set iff the cops win.
+    recorded actions, is set iff the cops win.
+
+    The tables are built on first access, by a retrograde solve of the
+    same game (_retrograde), unless the solve that made the outcome was one
+    (tables holds them then).  That solve must give the outcome's states,
+    rows, winner, depth and placement, or the access raises AssertionError.
     """
 
     winner: Winner
@@ -223,9 +238,33 @@ class SolveOutcome:
     graph: Graph
     spec: GameSpec
     index: Mapping[Key, int] = field(default_factory=dict, repr=False)
-    won: bytearray = field(default_factory=bytearray, repr=False)
-    wave_of: array = field(default_factory=lambda: array("i"), repr=False)
-    chosen: array = field(default_factory=lambda: array("i"), repr=False)
+    tables: tuple[bytearray, array, array] | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _tables(self) -> tuple[bytearray, array, array]:
+        if self.tables is not None:
+            return self.tables
+        if self.winner is Winner.INCONCLUSIVE:
+            return bytearray(), array("i"), array("i")
+        # the budget is the state count: a solve that would intern more stops
+        ref = _retrograde(self.graph, self.spec, budget=self.states)
+        mine = (self.winner, self.states, self.wave_sizes, self.depth, self.placement)
+        theirs = (ref.winner, ref.states, ref.wave_sizes, ref.depth, ref.placement)
+        if mine != theirs or ref.index._rows != self.index._rows:
+            raise AssertionError(f"the retrograde solve gave {theirs}, the solve {mine}")
+        return ref.tables
+
+    @property
+    def won(self) -> bytearray:
+        return self._tables[0]
+
+    @property
+    def wave_of(self) -> array:
+        return self._tables[1]
+
+    @property
+    def chosen(self) -> array:
+        return self._tables[2]
 
     def action(self, i: int) -> tuple[int, ...] | None:
         """The recorded action of row i, or None when it has none."""
@@ -273,39 +312,135 @@ def solve(
     """
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
+    if spec.monotone:
+        return _retrograde(g, spec, budget=budget)
+    cl = _close(g, spec, budget, book=False)
+    if cl.stopped:
+        return cl.inconclusive(spec, budget)
+    search = _clearing_walk if _open_loop(spec) else _decide
+    winner, depth, placement, _ = search(g, spec, cl.ctx)
+    cl.ctx.forget()  # the outcome's index needs only the codec
+    return SolveOutcome(
+        winner, len(cl.index), tuple(cl.wave_sizes), depth, placement, g, spec,
+        StateIndex(cl.ctx, cl.index),
+    )
+
+
+def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> SolveOutcome:
+    """solve by the retrograde propagation over the slots (the module
+    docstring, steps 1 to 3), with the outcome's tables built at once: the
+    solve of the monotone game, whose won states are not closed downward,
+    and the tables of any other."""
+    _check_cop_count(g, spec)
+    spec = spec.resolve(g)
+    cl = _close(g, spec, budget, book=True)
+    if cl.stopped:
+        return cl.inconclusive(spec, budget)
+    n_states = len(cl.index)
+    won = bytearray(n_states)
+    wave_of = array("i", bytes(4 * n_states))
+    preds, remaining = cl.preds, cl.remaining
+    slot_state, slot_action, chosen = cl.slot_state, cl.slot_action, cl.chosen
+    for i in cl.seeds:
+        won[i] = 1
+        wave_of[i] = 1
+
+    current = cl.seeds
+    wave = 1
+    while current:
+        wave += 1
+        nxt = []
+        for w in current:
+            for slot in preds[w]:
+                left = remaining[slot] - 1
+                remaining[slot] = left
+                if left == 0:
+                    i = slot_state[slot]
+                    if not won[i]:
+                        won[i] = 1
+                        wave_of[i] = wave
+                        chosen[i] = slot_action[slot]
+                        nxt.append(i)
+        current = nxt
+
+    win_placement = None
+    depth = None
+    for p, roots in cl.roots:
+        if all(won[i] for i in roots):
+            d = max((wave_of[i] for i in roots), default=0)
+            if depth is None or d < depth:
+                win_placement, depth = p, d
+
+    winner = Winner.COPS if win_placement is not None else Winner.ROBBER
+    cl.ctx.forget()  # the outcome's index needs only the codec
+    return SolveOutcome(
+        winner, n_states, tuple(cl.wave_sizes), depth, win_placement, g, spec,
+        StateIndex(cl.ctx, cl.index), (won, wave_of, chosen),
+    )
+
+
+class _Closure:
+    """What expanding a game's reachable states to closure leaves: the
+    context, the packed key -> row index, the wave sizes, and whether the
+    budget stopped it.  With book set it also leaves the slots that the
+    retrograde propagation runs over (see _close)."""
+
+    __slots__ = (
+        "ctx", "index", "wave_sizes", "stopped",
+        "roots", "preds", "remaining", "slot_state", "slot_action", "chosen", "seeds",
+    )
+
+    def __init__(self, ctx: _Ctx) -> None:
+        self.ctx = ctx
+        self.index: dict[int, int] = {}  # packed key -> row
+        self.wave_sizes: list[int] = []
+        self.stopped = False
+        self.roots: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # placement, root rows
+        # preds[j] lists the slots, one per (state, action) pair with a
+        # nonempty successor set, that have j among their successors.  Slots
+        # are made in ascending (state, action) order, so each preds array
+        # is too.
+        self.preds: list[array] = []
+        self.remaining = array("i")  # unmet successors per slot
+        self.slot_state = array("i")
+        self.slot_action = array("i")
+        self.chosen = array("i")  # per expanded state: a winning action id, or -1
+        self.seeds: list[int] = []  # states with an action that wins on the spot
+
+    def inconclusive(self, spec: GameSpec, budget: int) -> SolveOutcome:
+        return SolveOutcome(Winner.INCONCLUSIVE, budget, tuple(self.wave_sizes), None, None, self.ctx.g, spec)
+
+
+def _close(g: Graph, spec: GameSpec, budget: int, book: bool) -> _Closure:
+    """Intern the roots of the resolved game and expand the reachable states
+    to closure (the module docstring's steps 1 and 2), or stop at the
+    budget.  The slots, the placements' roots and the states won on the
+    spot are kept only with book set; the interning order, the wave sizes
+    and the budget stop are the same either way."""
     # the table's ids are given out as the roots reach them, so a budget
     # stop among the roots lists no more placements than it met
     ctx = _Ctx(g, spec, _tuples(g, spec.cops))
-
-    index: dict[int, int] = {}  # packed key -> row
+    cl = _Closure(ctx)
+    index, wave_sizes = cl.index, cl.wave_sizes
+    preds, remaining, slot_state, slot_action = cl.preds, cl.remaining, cl.slot_state, cl.slot_action
+    chosen, seeds = cl.chosen, cl.seeds
     keys: list[int] = []
-    # preds[j] lists the slots, one per (state, action) pair with a
-    # nonempty successor set, that have j among their successors.  Slots are
-    # made in ascending (state, action) order, so each preds array is too.
-    preds: list[array] = []
-    remaining = array("i")  # unmet successors per slot
-    slot_state = array("i")
-    slot_action = array("i")
-    chosen = array("i")  # per expanded state: a winning action id, or -1
-    seeds: list[int] = []  # states with an action that wins on the spot
-    wave_sizes: list[int] = []
 
-    def inconclusive() -> SolveOutcome:
-        return SolveOutcome(Winner.INCONCLUSIVE, budget, tuple(wave_sizes), None, None, g, spec)
-
-    placement_roots: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for p in ctx.tab.placements():
         roots = []
         for k in _initial_keys(ctx, ctx.cid(p), g.full):
             i = index.get(k)
             if i is None:
                 if len(keys) >= budget:
-                    return inconclusive()
+                    cl.stopped = True
+                    return cl
                 i = index[k] = len(keys)
                 keys.append(k)
-                preds.append(array("i"))
+                if book:
+                    preds.append(array("i"))
             roots.append(i)
-        placement_roots.append((p, tuple(roots)))
+        if book:
+            cl.roots.append((p, tuple(roots)))
 
     n = g.n
     cmask, ps = ctx.cmask, ctx.ps
@@ -313,9 +448,9 @@ def solve(
     # Every sighted successor is a root: the evader seen on v with the cops
     # on a is a branch of the placement a's opening split.  Every tuple is
     # a placement above, so root_row[a * n + v] is that root's row.  Only a
-    # game with sightings has VIS states.
+    # game with sightings has VIS states, and only the slots read the rows.
     root_row = array("i")
-    if not (spec.see_goal or spec.delayed):
+    if book and not (ctx.see or ctx.delayed):
         root_row = array("i", bytes(4 * n * len(ctx.cops_of)))
         for i, k in enumerate(keys):
             if k & tmask == vtag:
@@ -349,18 +484,23 @@ def solve(
                             if j is None:
                                 j = len(keys)
                                 if j >= budget:
-                                    return inconclusive()
+                                    cl.stopped = True
+                                    return cl
                                 index[sk] = j
                                 keys.append(sk)
-                                preds.append(array("i"))
+                                if book:
+                                    preds.append(array("i"))
                             row.append(j)
-                        at = a * n
-                        while seen:
-                            low = seen & -seen
-                            row.append(root_row[at + low.bit_length() - 1])
-                            seen ^= low
+                        if book:
+                            at = a * n
+                            while seen:
+                                low = seen & -seen
+                                row.append(root_row[at + low.bit_length() - 1])
+                                seen ^= low
                         vis_rows[base | a] = tuple(row)
                     rows = [vis_rows[base | a] for a in acts]
+                if not book:
+                    continue
                 if () in rows:
                     chosen.append(acts[rows.index(())])
                     seeds.append(i)
@@ -375,92 +515,58 @@ def solve(
                         preds[j].append(slot)
                 continue
             rows = _expand(ctx, key, moves[c])
-            win = -1
-            for a, succ_keys, seen in rows:
-                if not (succ_keys or seen):
-                    win = a
-                    break
-            chosen.append(win)
-            if win >= 0:
-                # won at wave 1 whatever its other actions do; their
-                # successors are still interned, so the interning order
-                # does not depend on which states win.  The sighted ones
-                # are roots, interned already
-                seeds.append(i)
+            if book:
+                win = -1
                 for a, succ_keys, seen in rows:
-                    for sk in succ_keys:
-                        if get(sk) is None:
-                            j = len(keys)
-                            if j >= budget:
-                                return inconclusive()
-                            index[sk] = j
-                            keys.append(sk)
-                            preds.append(array("i"))
-                continue
-            for a, succ_keys, seen in rows:
-                slot = len(remaining)
-                remaining.append(len(succ_keys) + seen.bit_count() if seen else len(succ_keys))
-                slot_state.append(i)
-                slot_action.append(a)
+                    if not (succ_keys or seen):
+                        win = a
+                        break
+                chosen.append(win)
+                if win < 0:
+                    for a, succ_keys, seen in rows:
+                        slot = len(remaining)
+                        remaining.append(len(succ_keys) + seen.bit_count() if seen else len(succ_keys))
+                        slot_state.append(i)
+                        slot_action.append(a)
+                        for sk in succ_keys:
+                            j = get(sk)
+                            if j is None:
+                                j = len(keys)
+                                if j >= budget:
+                                    cl.stopped = True
+                                    return cl
+                                index[sk] = j
+                                keys.append(sk)
+                                preds.append(array("i"))
+                            preds[j].append(slot)
+                        if seen:
+                            at = a * n
+                            while seen:
+                                low = seen & -seen
+                                preds[root_row[at + low.bit_length() - 1]].append(slot)
+                                seen ^= low
+                    continue
+                # won at wave 1 whatever its other actions do
+                seeds.append(i)
+            # Without slots, and for a state won on the spot, the successors
+            # are interned all the same, so the interning order does not
+            # depend on which states win.  The sighted ones are roots,
+            # interned already
+            for _, succ_keys, _ in rows:
                 for sk in succ_keys:
-                    j = get(sk)
-                    if j is None:
+                    if get(sk) is None:
                         j = len(keys)
                         if j >= budget:
-                            return inconclusive()
+                            cl.stopped = True
+                            return cl
                         index[sk] = j
                         keys.append(sk)
-                        preds.append(array("i"))
-                    preds[j].append(slot)
-                if seen:
-                    at = a * n
-                    while seen:
-                        low = seen & -seen
-                        preds[root_row[at + low.bit_length() - 1]].append(slot)
-                        seen ^= low
+                        if book:
+                            preds.append(array("i"))
         # every VIS state is a root, so the first wave expanded them all
         vis_rows.clear()
         lo, hi = hi, len(keys)
-
-    n_states = len(keys)
-    won = bytearray(n_states)
-    wave_of = array("i", bytes(4 * n_states))
-    for i in seeds:
-        won[i] = 1
-        wave_of[i] = 1
-
-    current = seeds
-    wave = 1
-    while current:
-        wave += 1
-        nxt = []
-        for w in current:
-            for slot in preds[w]:
-                left = remaining[slot] - 1
-                remaining[slot] = left
-                if left == 0:
-                    i = slot_state[slot]
-                    if not won[i]:
-                        won[i] = 1
-                        wave_of[i] = wave
-                        chosen[i] = slot_action[slot]
-                        nxt.append(i)
-        current = nxt
-
-    win_placement = None
-    depth = None
-    for p, roots in placement_roots:
-        if all(won[i] for i in roots):
-            d = max((wave_of[i] for i in roots), default=0)
-            if depth is None or d < depth:
-                win_placement, depth = p, d
-
-    winner = Winner.COPS if win_placement is not None else Winner.ROBBER
-    ctx.forget()  # the outcome's index needs only the codec
-    return SolveOutcome(
-        winner, n_states, tuple(wave_sizes), depth, win_placement, g, spec,
-        StateIndex(ctx, index), won, wave_of, chosen,
-    )
+    return cl
 
 
 class _Antichains:
@@ -576,15 +682,16 @@ def decide(
 
 
 def _decide(
-    g: Graph, spec: GameSpec
+    g: Graph, spec: GameSpec, ctx: _Ctx | None = None
 ) -> tuple[Winner, int | None, tuple[int, ...] | None, _Antichains]:
     """decide, with its antichains: on a cops win, fx.play is a winning
-    strategy from the placement, over cops tuple ids in placement order."""
+    strategy from the placement, over cops tuple ids in placement order.
+    ctx, if given, is a context of the game whose table is complete."""
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
     if spec.monotone:
         raise ValueError("the monotone game's won states are not closed downward")
-    ctx = _Ctx(g, spec)
+    ctx = ctx or _Ctx(g, spec)
     placements, moves = ctx.cops_of, ctx.tab.moves()
     fx = _Antichains(g, ctx, spec.delayed)
     dom, sight, V = fx.dom, fx.sight, fx.V
@@ -670,7 +777,7 @@ class _Walk:
 
 
 def _clearing_walk(
-    g: Graph, spec: GameSpec
+    g: Graph, spec: GameSpec, ctx: _Ctx | None = None
 ) -> tuple[Winner, int | None, tuple[int, ...] | None, _Walk]:
     """decide for an open-loop game (see _open_loop), by a breadth-first
     search for the shortest clearing walk; on a cops win, the walk from the
@@ -685,13 +792,14 @@ def _clearing_walk(
     once, so a level runs in the order of the least placement reaching its
     states there and each state keeps the path from that placement: the
     first winning state of the level is reached from solve's placement.
-    Every state visited is one a solve from the same roots interns.
+    Every state visited is one a solve from the same roots interns.  ctx,
+    if given, is a context of the game whose table is complete.
     """
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
     if not _open_loop(spec):
         raise ValueError("only a game with nothing ever sighted is won by a walk")
-    ctx = _Ctx(g, spec)
+    ctx = ctx or _Ctx(g, spec)
     placements, moves = ctx.cops_of, ctx.tab.moves()
     nb = [g.full & m for m in ctx.nvis]
     for c, p in enumerate(placements):

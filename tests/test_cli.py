@@ -570,16 +570,23 @@ def test_witness_workers_leave_no_process(capsys, monkeypatch, failure):
 
 def _count_solves(monkeypatch) -> list[tuple]:
     """Record (variant, ell, cops) of every game the solver module solves
-    or decides."""
+    or decides.  A solve answers by decide, and that call is part of the
+    solve, not a game of its own."""
     from lvcops import solver
 
     specs = []
+    inside = []
     for name in ("solve", "_decide"):
         real = getattr(solver, name)
 
-        def counting(g, spec, real=real, **kw):
-            specs.append((spec.variant.value, spec.ell, spec.cops))
-            return real(g, spec, **kw)
+        def counting(g, spec, *args, real=real, **kw):
+            if not inside:
+                specs.append((spec.variant.value, spec.ell, spec.cops))
+            inside.append(spec)
+            try:
+                return real(g, spec, *args, **kw)
+            finally:
+                inside.pop()
 
         monkeypatch.setattr(solver, name, counting)
     return specs

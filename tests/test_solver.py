@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -43,6 +44,7 @@ from lvcops.solver import (
     _clearing_walk,
     _decide,
     _open_loop,
+    _retrograde,
     _states_bound,
     cop_number,
     decide,
@@ -536,15 +538,27 @@ def _solved(g, spec):
     return solve(g, spec)
 
 
+@functools.cache
+def _retrograded(g, spec):
+    """The retrograde solve of a graph and a resolved spec, made once per
+    test run.  It is the run that builds a solve's tables, and the one
+    answer here that neither decide nor the walk search gives: solve
+    answers every game but the monotone one by one of them."""
+    return _retrograde(g, spec)
+
+
 def _depth(g, ell, k, variant):
-    """The game's depth from solve, which decide must match in winner,
-    depth and placement."""
+    """The game's depth from the retrograde solve, which decide and solve
+    must match in winner, depth and placement."""
     spec = GameSpec(ell, k, variant)
+    ref = _retrograded(g, spec.resolve(g))
+    assert ref.winner is not Winner.INCONCLUSIVE
+    assert (ref.winner is Winner.COPS) == (ref.depth is not None)
+    answer = (ref.winner, ref.depth, ref.placement)
+    assert decide(g, spec) == answer, (g.edges, spec)
     out = _solved(g, spec.resolve(g))
-    assert out.winner is not Winner.INCONCLUSIVE
-    assert (out.winner is Winner.COPS) == (out.depth is not None)
-    assert decide(g, spec) == (out.winner, out.depth, out.placement), (g.edges, spec)
-    return out.depth
+    assert (out.winner, out.depth, out.placement) == answer, (g.edges, spec)
+    return ref.depth
 
 
 @functools.cache
@@ -630,24 +644,25 @@ OPEN_LOOP = ((0, Variant.SEE), (1, Variant.SEE), (2, Variant.SEE),
              (0, Variant.CAPTURE), (0, Variant.ZERO_VIS))
 
 
+@functools.cache
 def _census_graphs():
     """The first 20 graphs of the census benchmark."""
-    return [random_connected_graph(5 + i % 5, (i * 3) % (5 + i % 5 + 3), i) for i in range(20)]
+    return tuple(random_connected_graph(5 + i % 5, (i * 3) % (5 + i % 5 + 3), i) for i in range(20))
 
 
 def test_clearing_walk_matches_decide_and_solve():
-    # the walk search gives solve's and decide's winner, depth and
-    # placement, and visits no state that solve does not intern
+    # the walk search gives the retrograde solve's and decide's winner,
+    # depth and placement, and visits no state that a solve does not intern
     outcomes = set()
-    for g in list(_oracle_graphs()) + _census_graphs():
+    for g in _oracle_graphs() + _census_graphs():
         for ell, variant in OPEN_LOOP:
             for k in (1, 2):
                 spec = GameSpec(ell, k, variant)
-                out = _solved(g, spec.resolve(g))
+                ref = _retrograded(g, spec.resolve(g))
                 winner, depth, placement, walk = _clearing_walk(g, spec)
-                assert (winner, depth, placement) == (out.winner, out.depth, out.placement), (g.edges, spec)
+                assert (winner, depth, placement) == (ref.winner, ref.depth, ref.placement), (g.edges, spec)
                 assert decide(g, spec) == (winner, depth, placement), (g.edges, spec)
-                assert walk.states <= out.states, (g.edges, spec)
+                assert walk.states <= ref.states, (g.edges, spec)
                 outcomes.add(depth)
     assert {None, 0, 1, 2, 3} <= outcomes
     with pytest.raises(ValueError):
@@ -1176,26 +1191,153 @@ def test_budget_stop_among_the_roots_lists_few_placements():
     assert len(_tuples(g, 12).cops_of) == 101
 
 
+# -- solve's answer and its tables ---------------------------------------------------
+# solve expands every game to closure and answers all but the monotone one
+# by decide or the walk search.  The retrograde solve, which keeps the
+# slots and propagates over them, is the independent answer it is held to.
+
+
+def _non_monotone_games():
+    """(graph, resolved spec) of every non-monotone game on the oracle and
+    census graphs at radii 0 to 2 and 1 to 2 cops."""
+    for g in _oracle_graphs() + _census_graphs():
+        for spec in _all_specs(g, (0, 1, 2)):
+            if not spec.monotone:
+                yield g, spec
+
+
+def test_solve_gives_the_retrograde_answer():
+    outcomes = set()
+    for g, spec in _non_monotone_games():
+        out, ref = _solved(g, spec), _retrograded(g, spec)
+        assert out.tables is None and ref.tables is not None
+        got = (out.winner, out.states, out.wave_sizes, out.depth, out.placement)
+        assert got == (ref.winner, ref.states, ref.wave_sizes, ref.depth, ref.placement), (g.edges, spec)
+        assert list(out.index) == list(ref.index), (g.edges, spec)
+        outcomes.add((spec.variant, out.depth))
+    assert {(v, None) for v in (Variant.CAPTURE, Variant.SEE, Variant.TIME_DELAYED)} <= outcomes
+    assert {(Variant.CAPTURE, 3), (Variant.SEE, 3), (Variant.TIME_DELAYED, 2)} <= outcomes
+
+
+def _counting_closures(monkeypatch) -> list[bool]:
+    """Record each expansion to closure solver runs, by whether it keeps the
+    slots."""
+    from lvcops import solver
+
+    closures = []
+    real = solver._close
+
+    def closing(g, spec, budget, book):
+        closures.append(book)
+        return real(g, spec, budget, book)
+
+    monkeypatch.setattr(solver, "_close", closing)
+    return closures
+
+
+def test_lazy_tables_equal_an_eager_run(monkeypatch):
+    # the first read of a table runs one retrograde solve, and no read
+    # after it runs another
+    closures = _counting_closures(monkeypatch)
+    won = 0
+    for g, spec in _non_monotone_games():
+        ref = _retrograded(g, spec)
+        closures.clear()
+        out = solve(g, spec)
+        assert closures == [False]
+        assert (out.won, out.wave_of, out.chosen) == ref.tables, (g.edges, spec)
+        assert out.policy == ref.policy, (g.edges, spec)
+        assert closures == [False, True]
+        won += out.winner is Winner.COPS
+    assert won > 500
+    # a table-building run that does not give the outcome's answer is refused
+    out = solve(cycle(4), GameSpec(1, 2))
+    for wrong in (dataclasses.replace(out, depth=out.depth + 1), dataclasses.replace(out, placement=(0, 0))):
+        with pytest.raises(AssertionError):
+            wrong.won
+
+
+def test_budget_stop_never_answers(monkeypatch):
+    # a budget stop happens inside the closure, at the state count where the
+    # retrograde solve stops, before decide or the walk search could run
+    from lvcops import solver
+
+    def refuse(*args):
+        raise AssertionError("a budget stop called the answer step")
+
+    games = [(g, spec) for g, spec in _non_monotone_games() if g.n >= 6]
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_decide", refuse)
+        m.setattr(solver, "_clearing_walk", refuse)
+        stops = 0
+        for g, spec in games[::3]:
+            states = _retrograded(g, spec).states
+            for budget in sorted({b for b in (1, states // 4, states // 2, states - 1) if 0 < b < states}):
+                out, ref = solve(g, spec, budget=budget), _retrograde(g, spec, budget=budget)
+                assert out.winner is ref.winner is Winner.INCONCLUSIVE, (g.edges, spec, budget)
+                assert out.states == ref.states == budget, (g.edges, spec, budget)
+                assert out.wave_sizes == ref.wave_sizes, (g.edges, spec, budget)
+                stops += 1
+    assert stops > 500
+    # at its own state count the budget does not bind
+    g, spec = games[0]
+    assert solve(g, spec, budget=_retrograded(g, spec).states).winner is not Winner.INCONCLUSIVE
+
+
+def test_monotone_solve_expands_each_state_once(monkeypatch):
+    # the monotone game is answered by the retrograde solve itself: one
+    # closure, each state expanded once, and reading its tables runs none
+    from lvcops import solver
+
+    closures = _counting_closures(monkeypatch)
+    expanded = []
+    real = solver._expand
+
+    def expanding(ctx, key, acts):
+        expanded.append(key)
+        return real(ctx, key, acts)
+
+    monkeypatch.setattr(solver, "_expand", expanding)
+    spec = GameSpec(1, 2, Variant.MONOTONE_CAPTURE)
+    for g in (_pinned_graph("subdivided:2,1"), *_oracle_graphs()[:10]):
+        closures.clear()
+        expanded.clear()
+        out = solve(g, spec)
+        assert out.tables is not None
+        assert (out.won, out.wave_of, out.chosen) == out.tables and (out.policy is None) == (out.depth is None)
+        assert closures == [True]
+        assert len(expanded) == len(set(expanded)) <= out.states
+        # a state whose rows were all built is not expanded again: only
+        # sighted states share their rows
+        unexpanded = {out.index._ctx.encode(k) for k in out.index} - set(expanded)
+        assert all(key[1] == VIS for key in map(out.index._ctx.decode, unexpanded))
+
+
 def test_solve_memory_per_state():
-    # tracemalloc's peak over one solve, per interned state.  The store of
-    # tuple keys, int lists and per-state pred lists peaked at 688 B/state
-    # here (Python 3.11); packed keys and int32 tables need under 0.7x that
+    # tracemalloc's peak over the retrograde solve that builds a solve's
+    # tables, per interned state.  The store of tuple keys, int lists and
+    # per-state pred lists peaked at 688 B/state here (Python 3.11); packed
+    # keys and int32 tables need under 0.7x that.  solve itself keeps no
+    # slots, so it peaks lower still
     g = generate(parse_recipe("randomtree:n=12,seed=4")).graph
     spec = GameSpec(1, 2)
-    solve(g, spec)  # builds the graph's lazy tables outside the measurement
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = solve(g, spec)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
+    _retrograde(g, spec)  # builds the graph's lazy tables outside the measurement
+    peaks = []
+    for run in (_retrograde, solve):
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert out.states == 1180
-    assert peak / out.states <= 0.7 * 688
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = run(g, spec)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert out.states == 1180
+    assert peaks[0] / out.states <= 0.7 * 688
+    assert peaks[1] < peaks[0]
 
 
 def test_policy_captures_against_solver_robber():
@@ -1336,9 +1478,9 @@ def test_cop_number_walks_the_open_loop_games(monkeypatch):
 
     called = []
     for name in ("_clearing_walk", "_decide"):
-        def recording(g, spec, real=getattr(solver, name), name=name):
+        def recording(g, spec, *args, real=getattr(solver, name), name=name):
             called.append((name, spec.resolve(g)))
-            return real(g, spec)
+            return real(g, spec, *args)
 
         monkeypatch.setattr(solver, name, recording)
     g = cycle(6)  # diameter 3
@@ -1355,9 +1497,10 @@ def test_cop_number_walks_the_open_loop_games(monkeypatch):
         (1, Variant.TIME_DELAYED, "_decide"),
     ]
     for ell, variant, name in cases:
+        solved = cop_number(g, ell, variant, retrograde=True)
         called.clear()
         k = cop_number(g, ell, variant)
-        assert k == cop_number(g, ell, variant, retrograde=True), (ell, variant)
+        assert k == solved, (ell, variant)
         want = GameSpec(ell, 1, variant).resolve(g)
         assert called == [(name, GameSpec(want.ell, i, want.variant)) for i in range(1, k + 1)], (ell, variant)
 
