@@ -263,7 +263,8 @@ class _Ctx:
     out-of-sight vertices nvis[a] = ~vis and sight[a], where a sighted
     evader stays in play: vis & ~occ[a], or nothing under a seeing goal,
     where a sighting ends the game; occ and the move lists are the table's.  grown
-    memoizes grow() of each unseen territory.  seen memoizes, per (sighted
+    memoizes grow() of each unseen territory, and of the time-delayed
+    decider's lost sets (solver._decide_points).  seen memoizes, per (sighted
     set, action), the part of an INV row that the territory vertices in
     sight after the cop move give: the keys of their escapes out of sight
     and the union of their steps.  It starts afresh at _SEEN_MEMO_CAP

@@ -69,21 +69,30 @@ kernel row grows with the territory (grow is a union of closed
 neighbourhoods), so a smaller territory's successors lie below a larger
 one's.  A won set is then kept as its maximal territories, an antichain
 (the lattice method of De Wulf, Doyen & Raskin, HSCC 2006).  Per cops
-tuple c, X[c] holds the maximal territories won within w cop moves (in
-the time-delayed game, knowledge sets) and V[c] the vertices on which a
-sighted evader is won within w.  Level w + 1 is made from level w alone:
-with nb = nvis[a], s = sight[a] and B = s & ~V[a] (engine._Ctx), the action
-a wins a sighted evader on ok_a = occ[a] | ~grow(B) & ~meet(grow(nb & ~M)),
-and into each M of X[a] (or M = 0) it wins the territory
+tuple c, X[c] holds the maximal territories won within w cop moves and
+V[c] the vertices on which a sighted evader is won within w.  Level w + 1
+is made from level w alone: with nb = nvis[a], s = sight[a] and
+B = s & ~V[a] (engine._Ctx), the action a wins a sighted evader on
+ok_a = occ[a] | ~grow(B) & ~meet(grow(nb & ~M)), and into each M of X[a]
+(or M = 0) it wins the territory
 (vis[a] & ~s) | (s & ok_a) | nb & ~grow((nb & ~M) | B), since
-{u : N[u] ∩ D = ∅} = ~grow(D).  In the time-delayed game each surviving
-vertex steps into a set of its own, so a wins the one set
-occ[a] | ~meet(grow(free & ~M)), free the vertices off a's cops.  These
-are offered, cut to their domain, to every tuple one step from a.  A wave
-is a property of the state, so the first level at which some placement
-has every root won is solve's depth, the first such placement in
-placement order is solve's placement, and a level that changes nothing
-means the evader wins.
+{u : N[u] ∩ D = ∅} = ~grow(D).  These are offered, cut to their domain,
+to every tuple one step from a.
+
+The time-delayed game needs no antichains (_decide_points).  Its cops
+learn the evader's previous vertex at the end of every round, so after
+the opening every state is (a, N[v] & free[a]), free[a] the vertices off
+a's cops and v the disclosed vertex: a point, not a territory.  The won
+set of a is then one mask Q[a] of such v.  Level w + 1 is made from level
+w alone: Q[a] gains free[a] & ~grow(free[a] & ~(occ[b] | Q[b])) for each
+b in moves[a], and only a b whose Q[b] changed at level w can add
+anything.  The root (c, free[c]) is won at level w + 1 when some b in
+moves[c] has free[c] inside occ[b] | Q[b].
+
+In both fixpoints a wave is a property of the state, so the first level
+at which some placement has every root won is solve's depth, the first
+such placement in placement order is solve's placement, and a level that
+changes nothing means the evader wins.
 
 Walking the open-loop games (_clearing_walk).  Under a seeing goal, and
 at radius 0, nothing is ever sighted: the cops learn nothing until they
@@ -109,10 +118,13 @@ successor of that action is terminal or has a lower level.  decide stops
 at the winning level before inserting its territories: it inserts only
 the winning placement's root, the one territory of that level that play
 reads from the placement, so the strategy from the placement is the one
-inserting the whole level would record.  profile replays the capture
-strategy cop_number found, these levels or a clearing walk, under the
-monotone rule (_monotone_number) to get a monotone number without a
-monotone solve.
+inserting the whole level would record.  In the time-delayed game each
+growth of Q[c] is recorded with its level and the action that won it, and
+the winning root with its own; a state plays the action of the
+lowest-level record holding a vertex whose point it is.  profile replays
+the capture strategy cop_number found, these levels or a clearing walk,
+under the monotone rule (_monotone_number) to get a monotone number
+without a monotone solve.
 """
 
 from __future__ import annotations
@@ -574,11 +586,11 @@ class _Antichains:
     module docstring), per cops tuple id c of the game's context, whose
     ids are the placements in order (engine._tuples).
 
-    dom[c] holds every territory of c: the vertices out of sight, or in
-    the time-delayed game every vertex off the cops.  X[c] maps each
-    maximal won territory M to grow(dom[c] & ~M), the vertices with a step
-    outside M, and inter[c] is the meet of those values and of grow(dom[c])
-    (M = 0).  V[c] holds the vertices on which a sighted evader is won.
+    dom[c] holds every territory of c, the vertices out of sight.  X[c]
+    maps each maximal won territory M to grow(dom[c] & ~M), the vertices
+    with a step outside M, and inter[c] is the meet of those values and of
+    grow(dom[c]) (M = 0).  V[c] holds the vertices on which a sighted
+    evader is won.
 
     The levels are the cops' strategy.  kept[c] records every territory
     X[c] ever held, displaced ones included, as (level, territory, action)
@@ -588,19 +600,13 @@ class _Antichains:
     territory, so the last level's records are those of that root alone.
     """
 
-    __slots__ = (
-        "full", "grow", "delayed", "occ", "dom", "sight", "X", "inter", "V", "kept", "sighted",
-    )
+    __slots__ = ("full", "grow", "occ", "dom", "sight", "X", "inter", "V", "kept", "sighted")
 
-    def __init__(self, g: Graph, ctx: _Ctx, delayed: bool) -> None:
-        self.full, self.grow, self.delayed = g.full, g.grow, delayed
+    def __init__(self, g: Graph, ctx: _Ctx) -> None:
+        self.full, self.grow = g.full, g.grow
         self.occ = ctx.occ
-        if delayed:
-            self.dom = [g.full & ~m for m in ctx.occ]
-            self.sight = [0] * len(ctx.occ)  # nothing is ever sighted
-        else:
-            self.dom = [g.full & m for m in ctx.nvis]
-            self.sight = ctx.sight
+        self.dom = [g.full & m for m in ctx.nvis]
+        self.sight = ctx.sight
         self.X: list[dict[int, int]] = [{} for _ in ctx.occ]
         self.inter = list(map(self.grow, self.dom))
         self.V = [0] * len(ctx.occ)
@@ -661,15 +667,48 @@ class _Antichains:
         from it is won), and for each M in X[a] (or M = 0) the greatest
         territory that a wins into M."""
         full, occ, inter = self.full, self.occ[a], self.inter[a]
-        if self.delayed:
-            # each surviving vertex steps into a knowledge set of its own
-            ok = (occ | ~inter) & full
-            return ok, {ok}
         nb, s = self.dom[a], self.sight[a]
         gb = self.grow(s & ~self.V[a])  # a step onto a lost sighted vertex
         ok = (occ | ~(gb | inter)) & full
         base = full & ~nb & ~s | s & ok
         return ok, {base | nb & ~(h | gb) for h in self.X[a].values() or (inter,)}
+
+
+class _Points:
+    """decide's won sets of the time-delayed game (see the module
+    docstring), per cops tuple id c in placement order.  free[c] holds the
+    vertices off c's cops, and Q[c] the disclosed vertices v whose state
+    (c, N[v] & free[c]) is won.
+
+    The levels are the cops' strategy.  grew[c] records each growth of
+    Q[c] as (level, vertices, action), in level order, and root the
+    winning placement's root as (tuple, level, action); play reads a
+    state's move off them.
+    """
+
+    __slots__ = ("adjc", "free", "Q", "grew", "root")
+
+    def __init__(self, g: Graph, ctx: _Ctx) -> None:
+        self.adjc = g.adj_closed
+        self.free = [g.full & ~m for m in ctx.occ]
+        self.Q = [0] * len(ctx.occ)
+        self.grew: list[list[tuple[int, int, int]]] = [[] for _ in ctx.occ]
+        self.root: tuple[int, int, int] | None = None
+
+    def play(self, c: int, tag: int, payload: int) -> tuple[int, int]:
+        """(level, action) of the won state (c, tag, payload): the winning
+        root's record, or the lowest-level record holding some v with
+        N[v] & free[c] == payload.  Each successor of the action is a
+        state of a lower level, so play wins within level rounds."""
+        if tag == DEL:
+            if self.root is not None and self.root[0] == c and payload == self.free[c]:
+                return self.root[1:]
+            adjc, free = self.adjc, self.free[c]
+            for level, m, a in self.grew[c]:
+                for v in bits(m):
+                    if adjc[v] & free == payload:
+                        return level, a
+        raise KeyError(f"state ({c}, {tag}, {payload}) is not won")
 
 
 def decide(
@@ -683,17 +722,20 @@ def decide(
 
 def _decide(
     g: Graph, spec: GameSpec, ctx: _Ctx | None = None
-) -> tuple[Winner, int | None, tuple[int, ...] | None, _Antichains]:
-    """decide, with its antichains: on a cops win, fx.play is a winning
-    strategy from the placement, over cops tuple ids in placement order.
-    ctx, if given, is a context of the game whose table is complete."""
+) -> tuple[Winner, int | None, tuple[int, ...] | None, _Antichains | _Points]:
+    """decide, with its won sets (the time-delayed game's points, any
+    other game's antichains): on a cops win, fx.play is a winning strategy
+    from the placement, over cops tuple ids in placement order.  ctx, if
+    given, is a context of the game whose table is complete."""
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
     if spec.monotone:
         raise ValueError("the monotone game's won states are not closed downward")
     ctx = ctx or _Ctx(g, spec)
+    if spec.delayed:
+        return _decide_points(g, ctx)
     placements, moves = ctx.cops_of, ctx.tab.moves()
-    fx = _Antichains(g, ctx, spec.delayed)
+    fx = _Antichains(g, ctx)
     dom, sight, V = fx.dom, fx.sight, fx.V
     sighted = any(sight)
     for c, p in enumerate(placements):
@@ -745,6 +787,54 @@ def _decide(
             if fx.insert_all(c, got, depth):
                 changed.add(c)
         dirty = sorted(changed)
+    return Winner.ROBBER, None, None, fx
+
+
+def _decide_points(
+    g: Graph, ctx: _Ctx
+) -> tuple[Winner, int | None, tuple[int, ...] | None, _Points]:
+    """_decide for the time-delayed game, by the point fixpoint of the
+    module docstring, over the complete table of ctx."""
+    placements, moves = ctx.cops_of, ctx.tab.moves()
+    fx = _Points(g, ctx)
+    free, Q, grew, grow, grown = fx.free, fx.Q, fx.grew, g.grow, ctx.grown
+    for c, p in enumerate(placements):
+        if not free[c]:
+            return Winner.COPS, 0, p, fx
+
+    # Level w is made from level w - 1 alone, and only through the tuples
+    # whose Q changed at w - 1 (at level 1, every tuple's Q_0 = 0 is new):
+    # lost[b] is what b's cops neither stand on nor have won.  A root whose
+    # actions all kept their Q was checked at an earlier level already.
+    changed: Iterable[int] = range(len(placements))
+    depth = 0
+    while changed:
+        depth += 1
+        lost = {b: free[b] & ~Q[b] for b in changed}
+        got = []
+        # a step is reversible, so the tuples one step from b are moves[b]
+        for a in sorted({a for b in lost for a in moves[b]}):
+            fa, qa = free[a], Q[a]
+            for b in moves[a]:
+                x = lost.get(b)
+                if x is None:
+                    continue
+                x &= fa
+                if not x:
+                    # the root (a, free[a]) is won here; the level is not applied
+                    fx.root = (a, depth, b)
+                    return Winner.COPS, depth, placements[a], fx
+                h = grown.get(x)
+                if h is None:
+                    h = grown[x] = grow(x)
+                new = fa & ~h & ~qa
+                if new:
+                    qa |= new
+                    got.append((a, new, b))
+        for a, new, b in got:
+            Q[a] |= new
+            grew[a].append((depth, new, b))
+        changed = {a for a, _, _ in got}
     return Winner.ROBBER, None, None, fx
 
 
@@ -888,9 +978,9 @@ def cop_number(
 
 def _cop_number(
     g: Graph, ell: int, variant: Variant, *, budget: int, retrograde: bool
-) -> tuple[int, tuple[tuple[int, ...], _Antichains | _Walk] | None]:
-    """cop_number, with the winning placement and strategy (decide's
-    antichains, or the clearing walk of an open-loop game) at the answer,
+) -> tuple[int, tuple[tuple[int, ...], _Antichains | _Points | _Walk] | None]:
+    """cop_number, with the winning placement and strategy (decide's won
+    sets, or the clearing walk of an open-loop game) at the answer,
     or None when a solve found it."""
     k = 1
     if not retrograde and variant is not Variant.MONOTONE_CAPTURE:
@@ -1002,6 +1092,10 @@ class Profile:
             and self.delayed < self.classical
         ):
             bad.append("delayed < classical")
+        # the time-delayed cops may ignore what is disclosed and walk the
+        # blind game's clearing walk
+        if self.blind is not None and self.delayed is not None and self.delayed > self.blind:
+            bad.append("delayed > blind")
         return bad
 
     def as_dict(self) -> dict:
@@ -1055,7 +1149,7 @@ def profile(
     classical = blind = delayed = domination = None
     capture_at = see_at = monotone_at = domination_at = None
     numbers: dict[GameSpec, int] = {}
-    wins: dict[GameSpec, tuple[tuple[int, ...], _Antichains | _Walk] | None] = {}
+    wins: dict[GameSpec, tuple[tuple[int, ...], _Antichains | _Points | _Walk] | None] = {}
 
     def number(ell: int, variant: Variant) -> int:
         game = GameSpec(ell, 1, variant).resolve(g)

@@ -471,6 +471,7 @@ def _sighted_depth(g, k, ell, see):
     return _least_fixpoint_depth(roots, actions)
 
 
+@functools.cache
 def _delayed_depth(g, k):
     """Depth of the time-delayed game by a least-fixpoint search over
     (sorted cops, knowledge set), with the cops to move.  Nothing is seen
@@ -612,14 +613,19 @@ def test_classical_matches_explicit_search():
 
 
 def test_delayed_game_matches_knowledge_set_search():
+    # decide, solve and the retrograde run agree (_depth) at up to three
+    # cops, and so does the knowledge-set search, except on the census
+    # graphs of 8 and 9 vertices at three cops, where it takes seconds
+    oracle = [(g, k, (0, 1)) for g in _oracle_graphs() for k in (1, 2, 3) if k <= g.n]
+    census = [(g, k, (0,)) for g in _census_graphs() for k in (1, 2, 3)]
     outcomes = set()
-    for g in _oracle_graphs():
-        for k in (1, 2):
-            for ell in (0, 1):  # nothing is seen, so the radius changes nothing
-                depth = _depth(g, ell, k, Variant.TIME_DELAYED)
+    for g, k, radii in oracle + census:
+        for ell in radii:  # nothing is seen, so the radius changes nothing
+            depth = _depth(g, ell, k, Variant.TIME_DELAYED)
+            if k < 3 or g.n < 8:
                 assert depth == _delayed_depth(g, k), (g.edges, k, ell)
-                outcomes.add(depth is not None)
-    assert outcomes == {True, False}
+            outcomes.add((k, depth is not None))
+    assert {(k, won) for k in (1, 2) for won in (True, False)} | {(3, True)} <= outcomes
 
 
 def test_decide_matches_solve_on_every_non_monotone_game():
@@ -902,22 +908,22 @@ def test_vis_rows_depend_on_vertex_and_action_alone():
 def test_antichain_closed_form_matches_kernel_rows():
     # decide restates the kernel's round as masks: for a won territory M of
     # the action a and the won sighted vertices V, the territory T of an
-    # INV (or DEL) state lies below what a wins into M exactly when every
-    # INV (or DEL) successor of a's row lies below M and every sighted one
-    # in V; and a sighted evader on r is won through a exactly when the same
-    # holds for its VIS row (empty when a's cops stand on r)
+    # INV state lies below what a wins into M exactly when every INV
+    # successor of a's row lies below M and every sighted one in V; and a
+    # sighted evader on r is won through a exactly when the same holds for
+    # its VIS row (empty when a's cops stand on r).  The time-delayed game
+    # has its own closed form (test_point_closed_form_matches_kernel_rows)
     rng = random.Random(7)
     checked = set()
     for g in _oracle_graphs():
         for spec in _all_specs(g, (0, 1, 2)):
-            if spec.monotone:
+            if spec.monotone or spec.delayed:
                 continue
             ctx = _Ctx(g, spec)
             placements = list(itertools.combinations_with_replacement(range(g.n), spec.cops))
             for p in placements:
                 ctx.cid(p)
-            fx = _Antichains(g, ctx, spec.delayed)
-            tag = DEL if spec.delayed else INV
+            fx = _Antichains(g, ctx)
             for _ in range(40):
                 c = rng.randrange(len(placements))
                 a = rng.choice(ctx.tab.moves()[c])
@@ -935,14 +941,54 @@ def test_antichain_closed_form_matches_kernel_rows():
 
                 t = rng.getrandbits(g.n) & fx.dom[c]
                 if t:
-                    want = won_into(tag, t)
+                    want = won_into(INV, t)
                     assert (t | t_am == t_am) == want, (g.edges, spec, placements[c], a, t, m)
-                    checked.add((tag, want))
+                    checked.add((INV, want))
                 for r in bits(fx.sight[c]):
                     want = won_into(VIS, r)
                     assert bool((ok >> r) & 1) == want, (g.edges, spec, placements[c], a, r, m)
                     checked.add((VIS, want))
-    assert checked == {(tag, won) for tag in (INV, VIS, DEL) for won in (True, False)}
+    assert checked == {(tag, won) for tag in (INV, VIS) for won in (True, False)}
+
+
+def test_point_closed_form_matches_kernel_rows():
+    # decide restates the time-delayed kernel's round as masks: from the
+    # state (c, K) the action a leads to the states (a, N[u] & free[a]), one
+    # per u in K & free[a], free the vertices off the cops, and nothing is
+    # sighted.  For a won mask Q of a (closed under giving the same state),
+    # the point (c, N[v] & free[c]) is then won through a exactly when v is
+    # in free[c] & ~grow(free[c] & ~(occ[a] | Q)), and the root (c, free[c])
+    # exactly when free[c] lies inside occ[a] | Q
+    rng = random.Random(13)
+    checked = set()
+    for g in _oracle_graphs():
+        for k in (1, 2, 3):
+            if k > g.n:
+                continue
+            ctx = _Ctx(g, GameSpec(0, k, Variant.TIME_DELAYED))
+            moves = ctx.tab.moves()
+            free = [g.full & ~m for m in ctx.occ]
+            for _ in range(40):
+                c = rng.randrange(len(moves))
+                a = rng.choice(moves[c])
+                fa = free[a]
+                points = {g.adj_closed[u] & fa for u in bits(rng.getrandbits(g.n) & fa)}
+                q = sum(1 << u for u in bits(fa) if g.adj_closed[u] & fa in points)
+                won_v = free[c] & ~g.grow(free[c] & ~(ctx.occ[a] | q))
+                cases = [(g.adj_closed[v] & free[c], bool(won_v >> v & 1)) for v in bits(free[c])]
+                if free[c]:
+                    cases.append((free[c], not free[c] & ~(ctx.occ[a] | q)))
+                for payload, want in cases:
+                    key = ctx.encode((ctx.cops_of[c], DEL, payload, SNAP_FREE))
+                    ((_, succs, seen),) = _expand(ctx, key, (a,))
+                    assert seen == 0, (g.edges, k, c, a, payload)
+                    got = [(s & ctx.cmask, s >> ctx.cb & 3, s >> ctx.ps) for s in succs]
+                    assert sorted(got) == sorted(
+                        {(a, DEL, g.adj_closed[u] & fa) for u in bits(payload & fa)}
+                    ), (g.edges, k, c, a, payload)
+                    assert all(s in points for _, _, s in got) == want, (g.edges, k, c, a, payload, q)
+                    checked.add((payload == free[c], want))
+    assert checked == {(root, won) for root in (True, False) for won in (True, False)}
 
 
 def test_walk_closed_form_matches_kernel_rows():
@@ -1073,11 +1119,12 @@ def test_clearing_walk_wins_in_depth_rounds():
 
 def test_decided_antichains_stay_antichains():
     # X[c] holds maximal territories only, and every territory it ever held
-    # (kept[c]) lies below one it holds at the end, the winning root too
+    # (kept[c]) lies below one it holds at the end, the winning root too.
+    # The time-delayed game keeps no antichains
     games = displaced = 0
-    for g in _oracle_graphs():
+    for g in _oracle_graphs() + _census_graphs():
         for spec in _all_specs(g, (0, 1, 2)):
-            if spec.monotone:
+            if spec.monotone or spec.delayed:
                 continue
             fx = _decide(g, spec)[3]
             games += 1
@@ -1424,6 +1471,9 @@ def test_profile_rejects_bad_chain():
             graph_key="x", n=3, radii=(1,),
             capture_at={1: 2}, see_at={1: 3},
         )
+    # a blind clearing walk wins the time-delayed game in as many rounds
+    with pytest.raises(ChainViolation, match="delayed > blind"):
+        Profile(graph_key="x", n=3, radii=(1,), blind=1, delayed=2)
     with pytest.raises(ChainViolation):
         Profile(
             graph_key="x", n=3, radii=(1, 2),
