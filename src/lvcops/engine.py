@@ -26,12 +26,15 @@ The rules live in one place, the transition kernel below: _initial_keys
 (the evader's replies to an opening placement) and _expand (one full round
 per cop action) over (cops, tag, payload, snapshot) keys, each packed into
 one int by the kernel's context (_Ctx).  A round names its sighted
-successors by a vertex mask, which _vis_keys spells out as keys.  The
-solver searches over the kernel; initial_branches, cop_turn, robber_turn
-and round_branches are thin views of it for the referee and the policies,
-decoding the kernel's ints into BeliefStates.  A view returns the ongoing
-states only: a branch the cops win is dropped, so an empty tuple means the
-cops won on every branch.
+successors by a vertex mask, which _vis_keys spells out as keys.  In every
+game but the monotone one a round's successors depend on the state only
+through masks of the action, so _wave_keys gives the rounds of a whole set
+of states at once, per action, over distinct masks; the tests hold it to
+_expand.  The solver searches over the kernel; initial_branches, cop_turn,
+robber_turn and round_branches are thin views of it for the referee and
+the policies, decoding the kernel's ints into BeliefStates.  A view
+returns the ongoing states only: a branch the cops win is dropped, so an
+empty tuple means the cops won on every branch.
 """
 
 from __future__ import annotations
@@ -301,7 +304,14 @@ class _Ctx:
         self._masks()
 
     def _masks(self) -> None:
-        """nvis and sight of every tuple of the table that lacks them."""
+        """nvis and sight of every tuple of the table that lacks them.  The
+        time-delayed game observes nothing live, so there every vertex is
+        out of sight, and no ball union is taken."""
+        if self.delayed:
+            more = len(self.cops_of) - len(self.nvis)
+            self.nvis += [-1] * more
+            self.sight += [0] * more
+            return
         for c in range(len(self.nvis), len(self.cops_of)):
             bm = _ball_union(self._balls, self.cops_of[c])
             self.nvis.append(~bm)
@@ -504,6 +514,117 @@ def _expand(ctx: _Ctx, key: int, acts) -> list[tuple[int, tuple[int, ...], Verte
                     inv = tuple(sorted({*inv, u}))
         out.append((a, inv, reach & sight_of[a]))
     return out
+
+
+def _wave_keys(ctx: _Ctx, wave: Iterable[int]) -> Iterator[tuple[int, set[int]]]:
+    """The INV or DEL successor keys of a set of packed states, by action:
+    (a, the union over the states of _expand's keys for a), in ascending
+    action id, for every action some state has.  The sighted successors
+    are left out, since each is a root.  Not for the monotone game, whose
+    rows depend on the snapshot.
+
+    In every other game a row for the action a depends on the state only
+    through its payload cut to masks of a, and every escape or disclosure
+    on a and one vertex alone, so a whole set of states is rolled into
+    masks per action, with nb = nvis[a], s = sight[a] and N[v] the closed
+    neighbourhood: an INV state (c, T) adds T & nb to a set U and T & s to
+    a mask X, a VIS state (c, v) adds v to X unless a's cops stand on it,
+    and the successors are (a, grow(u) & nb) for each u in U and
+    (a, N[v] & nb) for each v in X, where nonzero.  A DEL state (c, K)
+    adds K & ~occ[a] to X, and the successors are (a, DEL, N[v] & ~occ[a])
+    for each v in X.  A step is reversible, so the states that a is played
+    from are those whose cops are in moves[a].  Each grow goes through the
+    context's grown memo, as in _expand.
+    """
+    if ctx.mono:
+        raise ValueError("a monotone row depends on the state's snapshot")
+    cb, ps, cmask = ctx.cb, ctx.ps, ctx.cmask
+    adjc, occ, nvis, moves = ctx.adjc, ctx.occ, ctx.nvis, ctx.tab.moves()
+    xs: dict[int, int] = {}  # action -> X, before it is cut to the action's masks
+
+    if ctx.delayed:
+        union: dict[int, int] = {}  # cops id -> the union of its knowledge sets
+        for key in wave:
+            c = key & cmask
+            union[c] = union.get(c, 0) | key >> ps
+        for c, u in union.items():
+            for a in moves[c]:
+                xs[a] = xs.get(a, 0) | u
+        dtag = DEL << cb
+        for a in sorted(xs):
+            free = ~occ[a]
+            x = xs[a] & free
+            out = set()
+            while x:
+                low = x & -x
+                out.add(a | dtag | (adjc[low.bit_length() - 1] & free) << ps)
+                x ^= low
+            yield a, out
+        return
+
+    terr: dict[int, list[int]] = {}  # cops id -> its territories
+    spots: dict[int, int] = {}  # cops id -> its sighted evader's vertices
+    for key in wave:
+        c = key & cmask
+        if key >> cb & 3 == VIS:
+            spots[c] = spots.get(c, 0) | 1 << (key >> ps)
+            continue
+        got = terr.get(c)
+        if got is None:
+            terr[c] = [key >> ps]
+        else:
+            got.append(key >> ps)
+    cuts: dict[int, set[int]] = {}  # action -> U
+    sighted = not ctx.see
+    for c, ts in terr.items():
+        if len(ts) == 1:
+            t = u = ts[0]
+            for a in moves[c]:
+                got = cuts.get(a)
+                if got is None:
+                    cuts[a] = {t & nvis[a]}
+                else:
+                    got.add(t & nvis[a])
+        else:
+            for a in moves[c]:
+                got = cuts.get(a)
+                if got is None:
+                    cuts[a] = set(map(nvis[a].__and__, ts))
+                else:
+                    got.update(map(nvis[a].__and__, ts))
+            u = 0
+            for t in ts:
+                u |= t
+        if sighted:
+            for a in moves[c]:
+                xs[a] = xs.get(a, 0) | u
+    sight = ctx.sight
+    for a in xs:
+        xs[a] &= sight[a]
+    for c, v in spots.items():
+        for a in moves[c]:
+            xs[a] = xs.get(a, 0) | v & ~occ[a]
+
+    grown, grow = ctx.grown, ctx.g.grow
+    for a in sorted(cuts.keys() | xs.keys() if xs else cuts):
+        nb = nvis[a]
+        out = set()
+        for u in cuts.get(a, ()):
+            if u:
+                h = grown.get(u)
+                if h is None:
+                    h = grown[u] = grow(u)
+                h &= nb
+                if h:
+                    out.add(a | h << ps)
+        x = xs.get(a, 0)
+        while x:
+            low = x & -x
+            e = adjc[low.bit_length() - 1] & nb
+            if e:
+                out.add(a | e << ps)
+            x ^= low
+        yield a, out
 
 
 # -- turns: views over the kernel ------------------------------------------------

@@ -12,24 +12,29 @@ counters.
 The rules are not restated here: the belief states, the opening split
 (_initial_keys) and the one-round expansion (_expand) are the transition
 kernel in engine; this module is the search over it.  The exceptions are
-the closed forms of a round in decide and in the walk search (below),
-which the tests hold to _expand.
+the closed forms of a round: the kernel's own wave rule (_wave_keys),
+which solve interns by, and those of decide, of its point fixpoint and of
+the walk search (below), which the tests hold to _expand.
 
 Layout of a solve:
   1. enumerate every opening placement (sorted multisets) and intern the
-     root belief states the kernel's opening split gives;
-  2. expand the reachable set breadth-first to closure with the kernel
-     (one round per legal cop action), serially, interning states in a
-     fixed discovery order (_close).  The discovery order, the state
-     count, and everything derived from them are fixed by the graph and
-     the spec alone.  A VIS state is a root, so all of them are expanded
-     in the first wave.  Its row for an action depends on the evader's
-     vertex and the action, not on the cops tuple it is played from, so
-     within that wave it is built once and kept as its successors' rows;
-     a later state with the same vertex and action reads it instead of
+     root belief states the kernel's opening split gives (_open);
+  2. intern the reachable set breadth-first to closure, serially: a wave
+     is the set of states first reached from the last one, so the waves,
+     the state count and everything derived from them are fixed by the
+     graph and the spec alone.  A VIS state is a root, so every one of
+     them is in the first wave.  In every game but the monotone one
+     (_close_waves) a wave's successors come from engine._wave_keys, per
+     action over the whole wave's masks, with no kernel row per state,
+     and its new states are interned by action id, then by packed key.
+     The monotone game (_close) is expanded state by state with the kernel
+     (one round per legal cop action), interning in discovery order.
+     There a VIS state's row for an action depends on the evader's vertex
+     and the action, not on the cops tuple it is played from, so within
+     the first wave it is built once and kept as its successors' rows; a
+     later state with the same vertex and action reads it instead of
      calling the kernel.  Its successors were interned when the row was
-     first built, so a read interns nothing, and the interning order and
-     budget stops are those of a solve that expands every row;
+     first built, so a read interns nothing;
   3. answer.  The monotone game is answered by the retrograde propagation
      (_retrograde).  Its closure also gives each (state, action) pair with
      a nonempty successor set one slot in flat arrays: its unmet successor
@@ -48,7 +53,8 @@ Layout of a solve:
      placement the propagation gives;
   4. the per-state tables (won, wave, recorded action) of a game that was
      not propagated are built when a caller first reads them, by a
-     retrograde solve of the same game (SolveOutcome).
+     retrograde solve of the same game (SolveOutcome), whose rows are in
+     _close's order: they are matched to the solve's rows by key.
 
 The store is compact: a state is the kernel's packed int (see engine._Ctx)
 mapped to its row in one dict, and every per-slot and per-row table is an
@@ -59,9 +65,10 @@ vertex.
 
 The state budget is a hard cap on interned states.  Hitting it aborts with
 winner INCONCLUSIVE and states equal to the cap, never a guessed answer.
-The cut happens at a fixed point of the deterministic discovery stream, in
-the closure, before any answer is sought, so budgeted runs are
-reproducible too, and the same with or without slots.
+The cut comes in the closure, in the wave whose new states bring the count
+past the budget, before any answer is sought, so budgeted runs are
+reproducible too, and _close and _close_waves stop at the same count with
+the same wave sizes.
 
 Deciding without states (decide).  In every game but the monotone one the
 won states are closed downward in the territory: each successor of a
@@ -152,6 +159,7 @@ from .engine import (
     _initial_keys,
     _tuples,
     _vis_keys,
+    _wave_keys,
     initial_branches,
     robber_turn,
 )
@@ -238,8 +246,10 @@ class SolveOutcome:
 
     The tables are built on first access, by a retrograde solve of the
     same game (_retrograde), unless the solve that made the outcome was one
-    (tables holds them then).  That solve must give the outcome's states,
-    rows, winner, depth and placement, or the access raises AssertionError.
+    (tables holds them then).  That solve must give the outcome's winner,
+    states, wave sizes, depth, placement and set of state keys, or the
+    access raises AssertionError.  Its rows are in another order within a
+    wave, so its tables are matched to index by key.
     """
 
     winner: Winner
@@ -262,9 +272,17 @@ class SolveOutcome:
         ref = _retrograde(self.graph, self.spec, budget=self.states)
         mine = (self.winner, self.states, self.wave_sizes, self.depth, self.placement)
         theirs = (ref.winner, ref.states, ref.wave_sizes, ref.depth, ref.placement)
-        if mine != theirs or ref.index._rows != self.index._rows:
+        rows, ref_rows = self.index._rows, ref.index._rows
+        if mine != theirs or rows.keys() != ref_rows.keys():
             raise AssertionError(f"the retrograde solve gave {theirs}, the solve {mine}")
-        return ref.tables
+        # the retrograde run's row of each of this index's states, in row order
+        at = [ref_rows[k] for k in rows]
+        won, wave_of, chosen = ref.tables
+        return (
+            bytearray(map(won.__getitem__, at)),
+            array("i", map(wave_of.__getitem__, at)),
+            array("i", map(chosen.__getitem__, at)),
+        )
 
     @property
     def won(self) -> bytearray:
@@ -326,7 +344,7 @@ def solve(
     spec = spec.resolve(g)
     if spec.monotone:
         return _retrograde(g, spec, budget=budget)
-    cl = _close(g, spec, budget, book=False)
+    cl = _close_waves(g, spec, budget)
     if cl.stopped:
         return cl.inconclusive(spec, budget)
     search = _clearing_walk if _open_loop(spec) else _decide
@@ -345,7 +363,7 @@ def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> So
     and the tables of any other."""
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
-    cl = _close(g, spec, budget, book=True)
+    cl = _close(g, spec, budget)
     if cl.stopped:
         return cl.inconclusive(spec, budget)
     n_states = len(cl.index)
@@ -392,10 +410,11 @@ def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> So
 
 
 class _Closure:
-    """What expanding a game's reachable states to closure leaves: the
-    context, the packed key -> row index, the wave sizes, and whether the
-    budget stopped it.  With book set it also leaves the slots that the
-    retrograde propagation runs over (see _close)."""
+    """What interning a game's reachable states leaves: the context, the
+    packed key -> row index, the wave sizes, the placements' root rows and
+    whether the budget stopped it.  _close also leaves the slots that the
+    retrograde propagation runs over and the states won on the spot;
+    _close_waves leaves them empty."""
 
     __slots__ = (
         "ctx", "index", "wave_sizes", "stopped",
@@ -423,21 +442,15 @@ class _Closure:
         return SolveOutcome(Winner.INCONCLUSIVE, budget, tuple(self.wave_sizes), None, None, self.ctx.g, spec)
 
 
-def _close(g: Graph, spec: GameSpec, budget: int, book: bool) -> _Closure:
-    """Intern the roots of the resolved game and expand the reachable states
-    to closure (the module docstring's steps 1 and 2), or stop at the
-    budget.  The slots, the placements' roots and the states won on the
-    spot are kept only with book set; the interning order, the wave sizes
-    and the budget stop are the same either way."""
+def _open(g: Graph, spec: GameSpec, budget: int) -> tuple[_Closure, list[int]]:
+    """Intern the roots of the resolved game (the module docstring's step
+    1), or stop at the budget: the closure so far and its keys by row."""
     # the table's ids are given out as the roots reach them, so a budget
     # stop among the roots lists no more placements than it met
     ctx = _Ctx(g, spec, _tuples(g, spec.cops))
     cl = _Closure(ctx)
-    index, wave_sizes = cl.index, cl.wave_sizes
-    preds, remaining, slot_state, slot_action = cl.preds, cl.remaining, cl.slot_state, cl.slot_action
-    chosen, seeds = cl.chosen, cl.seeds
+    index = cl.index
     keys: list[int] = []
-
     for p in ctx.tab.placements():
         roots = []
         for k in _initial_keys(ctx, ctx.cid(p), g.full):
@@ -445,14 +458,58 @@ def _close(g: Graph, spec: GameSpec, budget: int, book: bool) -> _Closure:
             if i is None:
                 if len(keys) >= budget:
                     cl.stopped = True
-                    return cl
+                    return cl, keys
                 i = index[k] = len(keys)
                 keys.append(k)
-                if book:
-                    preds.append(array("i"))
             roots.append(i)
-        if book:
-            cl.roots.append((p, tuple(roots)))
+        cl.roots.append((p, tuple(roots)))
+    return cl, keys
+
+
+def _close_waves(g: Graph, spec: GameSpec, budget: int) -> _Closure:
+    """Intern the roots of a resolved game other than the monotone one and
+    its reachable states, a wave at a time, or stop at the budget (the
+    module docstring's steps 1 and 2).  A wave's successors come from
+    engine._wave_keys over the whole wave, per action, with no row per
+    state; its new states are interned by action id, then by packed key.
+    Each key carries its action, so no two actions share a new state: the
+    new states are counted action by action, and the stop comes at the
+    first action whose new states bring the count past the budget.  The
+    state count, the wave sizes and the budget stops are _close's."""
+    cl, keys = _open(g, spec, budget)
+    if cl.stopped:
+        return cl
+    ctx, index, wave_sizes = cl.ctx, cl.index, cl.wave_sizes
+    lo, hi = 0, len(keys)
+    while lo < hi:
+        wave_sizes.append(hi - lo)
+        # the sighted successors are roots, interned already
+        for _, succ in _wave_keys(ctx, keys[lo:hi]):
+            new = [k for k in succ if k not in index]
+            if new:
+                j = len(keys)
+                if j + len(new) > budget:
+                    cl.stopped = True
+                    return cl
+                new.sort()
+                index.update(zip(new, range(j, j + len(new))))
+                keys += new
+        lo, hi = hi, len(keys)
+    return cl
+
+
+def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
+    """Intern the roots of the resolved game and expand the reachable states
+    to closure, state by state with the kernel, keeping the slots, or stop
+    at the budget (the module docstring's steps 1 to 3)."""
+    cl, keys = _open(g, spec, budget)
+    if cl.stopped:
+        return cl
+    ctx = cl.ctx
+    index, wave_sizes = cl.index, cl.wave_sizes
+    preds, remaining, slot_state, slot_action = cl.preds, cl.remaining, cl.slot_state, cl.slot_action
+    chosen, seeds = cl.chosen, cl.seeds
+    preds.extend(array("i") for _ in keys)
 
     n = g.n
     cmask, ps = ctx.cmask, ctx.ps
@@ -460,9 +517,9 @@ def _close(g: Graph, spec: GameSpec, budget: int, book: bool) -> _Closure:
     # Every sighted successor is a root: the evader seen on v with the cops
     # on a is a branch of the placement a's opening split.  Every tuple is
     # a placement above, so root_row[a * n + v] is that root's row.  Only a
-    # game with sightings has VIS states, and only the slots read the rows.
+    # game with sightings has VIS states.
     root_row = array("i")
-    if book and not (ctx.see or ctx.delayed):
+    if not (ctx.see or ctx.delayed):
         root_row = array("i", bytes(4 * n * len(ctx.cops_of)))
         for i, k in enumerate(keys):
             if k & tmask == vtag:
@@ -500,19 +557,15 @@ def _close(g: Graph, spec: GameSpec, budget: int, book: bool) -> _Closure:
                                     return cl
                                 index[sk] = j
                                 keys.append(sk)
-                                if book:
-                                    preds.append(array("i"))
+                                preds.append(array("i"))
                             row.append(j)
-                        if book:
-                            at = a * n
-                            while seen:
-                                low = seen & -seen
-                                row.append(root_row[at + low.bit_length() - 1])
-                                seen ^= low
+                        at = a * n
+                        while seen:
+                            low = seen & -seen
+                            row.append(root_row[at + low.bit_length() - 1])
+                            seen ^= low
                         vis_rows[base | a] = tuple(row)
                     rows = [vis_rows[base | a] for a in acts]
-                if not book:
-                    continue
                 if () in rows:
                     chosen.append(acts[rows.index(())])
                     seeds.append(i)
@@ -527,43 +580,41 @@ def _close(g: Graph, spec: GameSpec, budget: int, book: bool) -> _Closure:
                         preds[j].append(slot)
                 continue
             rows = _expand(ctx, key, moves[c])
-            if book:
-                win = -1
+            win = -1
+            for a, succ_keys, seen in rows:
+                if not (succ_keys or seen):
+                    win = a
+                    break
+            chosen.append(win)
+            if win < 0:
                 for a, succ_keys, seen in rows:
-                    if not (succ_keys or seen):
-                        win = a
-                        break
-                chosen.append(win)
-                if win < 0:
-                    for a, succ_keys, seen in rows:
-                        slot = len(remaining)
-                        remaining.append(len(succ_keys) + seen.bit_count() if seen else len(succ_keys))
-                        slot_state.append(i)
-                        slot_action.append(a)
-                        for sk in succ_keys:
-                            j = get(sk)
-                            if j is None:
-                                j = len(keys)
-                                if j >= budget:
-                                    cl.stopped = True
-                                    return cl
-                                index[sk] = j
-                                keys.append(sk)
-                                preds.append(array("i"))
-                            preds[j].append(slot)
-                        if seen:
-                            at = a * n
-                            while seen:
-                                low = seen & -seen
-                                preds[root_row[at + low.bit_length() - 1]].append(slot)
-                                seen ^= low
-                    continue
-                # won at wave 1 whatever its other actions do
-                seeds.append(i)
-            # Without slots, and for a state won on the spot, the successors
+                    slot = len(remaining)
+                    remaining.append(len(succ_keys) + seen.bit_count() if seen else len(succ_keys))
+                    slot_state.append(i)
+                    slot_action.append(a)
+                    for sk in succ_keys:
+                        j = get(sk)
+                        if j is None:
+                            j = len(keys)
+                            if j >= budget:
+                                cl.stopped = True
+                                return cl
+                            index[sk] = j
+                            keys.append(sk)
+                            preds.append(array("i"))
+                        preds[j].append(slot)
+                    if seen:
+                        at = a * n
+                        while seen:
+                            low = seen & -seen
+                            preds[root_row[at + low.bit_length() - 1]].append(slot)
+                            seen ^= low
+                continue
+            # won at wave 1 whatever its other actions do.  Its successors
             # are interned all the same, so the interning order does not
             # depend on which states win.  The sighted ones are roots,
             # interned already
+            seeds.append(i)
             for _, succ_keys, _ in rows:
                 for sk in succ_keys:
                     if get(sk) is None:
@@ -573,8 +624,7 @@ def _close(g: Graph, spec: GameSpec, budget: int, book: bool) -> _Closure:
                             return cl
                         index[sk] = j
                         keys.append(sk)
-                        if book:
-                            preds.append(array("i"))
+                        preds.append(array("i"))
         # every VIS state is a root, so the first wave expanded them all
         vis_rows.clear()
         lo, hi = hi, len(keys)

@@ -25,7 +25,10 @@ from lvcops.engine import (
     Variant,
     _Ctx,
     _expand,
+    _initial_keys,
     _tuples,
+    _vis_keys,
+    _wave_keys,
     initial_branches,
     play_match,
     round_branches,
@@ -39,6 +42,7 @@ from lvcops.solver import (
     Profile,
     SolvedCops,
     SolvedRobber,
+    StateIndex,
     Winner,
     _Antichains,
     _clearing_walk,
@@ -1024,6 +1028,45 @@ def test_walk_closed_form_matches_kernel_rows():
     assert checked == {True, False}
 
 
+def test_wave_rule_matches_kernel_rows():
+    # solve interns every game but the monotone one a wave at a time by the
+    # kernel's wave rule.  For any set of reachable states it must yield
+    # every action some state has, ascending, each with the union of the
+    # kernel's INV or DEL keys for that action over the states' rows, and
+    # every sighted successor it leaves out must be a root
+    rng = random.Random(17)
+    checked = set()
+    for g in _oracle_graphs():
+        specs = {
+            GameSpec(ell, k, variant).resolve(g)
+            for k in (1, 2, 3) if k <= g.n
+            for variant, radii in ((Variant.CAPTURE, (0, 1, 2)), (Variant.CLASSICAL, (0,)),
+                                   (Variant.SEE, (0, 1, 2)), (Variant.TIME_DELAYED, (0,)))
+            for ell in radii
+        }
+        for spec in sorted(specs, key=repr):
+            ctx = _Ctx(g, spec)
+            moves = ctx.tab.moves()
+            roots = {k for c in range(len(moves)) for k in _initial_keys(ctx, c, g.full)}
+            reached = [ctx.encode(key) for key in _solved(g, spec).index]
+            for _ in range(3 if reached else 0):
+                wave = rng.sample(reached, rng.randint(1, min(len(reached), 40)))
+                want = {}
+                for key in wave:
+                    for a, succs, seen in _expand(ctx, key, moves[key & ctx.cmask]):
+                        want.setdefault(a, set()).update(succs)
+                        assert set(_vis_keys(ctx, a, seen)) <= roots, (g.edges, spec, key, a)
+                got = list(_wave_keys(ctx, wave))
+                assert [a for a, _ in got] == sorted(want), (g.edges, spec)
+                assert dict(got) == want, (g.edges, spec)
+                sighted = any(key >> ctx.cb & 3 == VIS for key in wave)
+                checked.add((spec.variant, spec.cops, sighted))
+    assert {(v, k, False) for v in (Variant.CAPTURE, Variant.SEE, Variant.TIME_DELAYED) for k in (1, 2, 3)} <= checked
+    assert {(Variant.CAPTURE, k, True) for k in (1, 2, 3)} <= checked
+    with pytest.raises(ValueError):
+        list(_wave_keys(_Ctx(cycle(4), GameSpec(1, 1, Variant.MONOTONE_CAPTURE)), []))
+
+
 def test_solves_stay_under_the_decider_bound():
     # cop_number decides a count by decide only when the budget is at least
     # this bound, so no solve it stands in for could have stopped
@@ -1254,54 +1297,104 @@ def _non_monotone_games():
 
 
 def test_solve_gives_the_retrograde_answer():
+    # solve interns the roots as the retrograde run does, then each wave's
+    # states by action id and packed key, where the retrograde run goes in
+    # discovery order: each wave holds the same states
     outcomes = set()
+    reordered = 0
     for g, spec in _non_monotone_games():
         out, ref = _solved(g, spec), _retrograded(g, spec)
         assert out.tables is None and ref.tables is not None
         got = (out.winner, out.states, out.wave_sizes, out.depth, out.placement)
         assert got == (ref.winner, ref.states, ref.wave_sizes, ref.depth, ref.placement), (g.edges, spec)
-        assert list(out.index) == list(ref.index), (g.edges, spec)
+        keys, ref_keys = list(out.index._rows), list(ref.index._rows)
+        cmask = out.index._ctx.cmask
+        lo = out.wave_sizes[0] if out.wave_sizes else 0
+        assert keys[:lo] == ref_keys[:lo], (g.edges, spec)
+        for size in out.wave_sizes[1:]:
+            wave = keys[lo : lo + size]
+            assert set(wave) == set(ref_keys[lo : lo + size]), (g.edges, spec)
+            assert wave == sorted(wave, key=lambda k: (k & cmask, k)), (g.edges, spec)
+            lo += size
+        assert lo == len(keys) == len(ref_keys) == out.states, (g.edges, spec)
+        reordered += keys != ref_keys
         outcomes.add((spec.variant, out.depth))
+    assert reordered > 200
     assert {(v, None) for v in (Variant.CAPTURE, Variant.SEE, Variant.TIME_DELAYED)} <= outcomes
     assert {(Variant.CAPTURE, 3), (Variant.SEE, 3), (Variant.TIME_DELAYED, 2)} <= outcomes
 
 
-def _counting_closures(monkeypatch) -> list[bool]:
-    """Record each expansion to closure solver runs, by whether it keeps the
-    slots."""
+def _counting_closures(monkeypatch) -> list[str]:
+    """Record each closure solver runs: "waves" for solve's wave loop,
+    "close" for the expansion that keeps the slots."""
     from lvcops import solver
 
     closures = []
-    real = solver._close
 
-    def closing(g, spec, budget, book):
-        closures.append(book)
-        return real(g, spec, budget, book)
+    def counting(name, real):
+        def closing(g, spec, budget):
+            closures.append(name)
+            return real(g, spec, budget)
 
-    monkeypatch.setattr(solver, "_close", closing)
+        return closing
+
+    monkeypatch.setattr(solver, "_close_waves", counting("waves", solver._close_waves))
+    monkeypatch.setattr(solver, "_close", counting("close", solver._close))
     return closures
 
 
+def _by_key(out):
+    """An outcome's tables keyed by packed state: (won, wave, action id)."""
+    won, wave_of, chosen = out.won, out.wave_of, out.chosen
+    return {key: (won[i], wave_of[i], chosen[i]) for key, i in out.index._rows.items()}
+
+
 def test_lazy_tables_equal_an_eager_run(monkeypatch):
-    # the first read of a table runs one retrograde solve, and no read
-    # after it runs another
+    # the first read of a table runs one retrograde solve, whose tables,
+    # matched by state, are the solve's, and no read after it runs another
     closures = _counting_closures(monkeypatch)
     won = 0
     for g, spec in _non_monotone_games():
         ref = _retrograded(g, spec)
         closures.clear()
         out = solve(g, spec)
-        assert closures == [False]
-        assert (out.won, out.wave_of, out.chosen) == ref.tables, (g.edges, spec)
+        assert closures == ["waves"]
+        assert _by_key(out) == _by_key(ref), (g.edges, spec)
         assert out.policy == ref.policy, (g.edges, spec)
-        assert closures == [False, True]
+        assert closures == ["waves", "close"]
         won += out.winner is Winner.COPS
     assert won > 500
-    # a table-building run that does not give the outcome's answer is refused
+    # a table-building run that does not give the outcome's answer or its
+    # states is refused
     out = solve(cycle(4), GameSpec(1, 2))
-    for wrong in (dataclasses.replace(out, depth=out.depth + 1), dataclasses.replace(out, placement=(0, 0))):
+    fewer = StateIndex(out.index._ctx, dict(list(out.index._rows.items())[:-1]))
+    for wrong in (
+        dataclasses.replace(out, depth=out.depth + 1),
+        dataclasses.replace(out, placement=(0, 0)),
+        dataclasses.replace(out, index=fewer),
+    ):
         with pytest.raises(AssertionError):
             wrong.won
+
+
+def test_every_budget_stops_where_the_retrograde_run_does():
+    # solve counts a wave's new states action by action and stops at the
+    # first action that brings the count past the budget, where the
+    # retrograde run stops at the state past it.  At every budget up to one
+    # past the state count they give the same stop or the same answer
+    games = stops = 0
+    for g, spec in list(_non_monotone_games())[::9]:
+        states = _retrograded(g, spec).states
+        if states > 60:
+            continue
+        games += 1
+        for budget in range(1, states + 2):
+            out, ref = solve(g, spec, budget=budget), _retrograde(g, spec, budget=budget)
+            got = (out.winner, out.states, out.wave_sizes, out.depth, out.placement)
+            assert got == (ref.winner, ref.states, ref.wave_sizes, ref.depth, ref.placement), (g.edges, spec, budget)
+            assert (out.winner is Winner.INCONCLUSIVE) == (budget < states), (g.edges, spec, budget)
+            stops += budget < states
+    assert games > 50 and stops > 1000
 
 
 def test_budget_stop_never_answers(monkeypatch):
@@ -1352,7 +1445,7 @@ def test_monotone_solve_expands_each_state_once(monkeypatch):
         out = solve(g, spec)
         assert out.tables is not None
         assert (out.won, out.wave_of, out.chosen) == out.tables and (out.policy is None) == (out.depth is None)
-        assert closures == [True]
+        assert closures == ["close"]
         assert len(expanded) == len(set(expanded)) <= out.states
         # a state whose rows were all built is not expanded again: only
         # sighted states share their rows
