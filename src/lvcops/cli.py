@@ -552,26 +552,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.cops is not None and args.cops != script.cops:
             raise ValueError(f"script uses {script.cops} cops, --cops says {args.cops}")
         spec = GameSpec(args.ell, script.cops, variant)
-        cop_policy = ScriptedCops(script)
-        outcome = None
+    elif args.cops is None:
+        raise ValueError("simulate needs --cops (or --script)")
     else:
-        if args.cops is None:
-            raise ValueError("simulate needs --cops (or --script)")
         spec = GameSpec(args.ell, args.cops, variant)
+    # the solved policies play one solve's strategy
+    if not args.script or args.robber == "solved":
         outcome = solve(g, spec, budget=args.budget)
         if outcome.winner is Winner.INCONCLUSIVE:
             raise BudgetExceeded(f"solve stopped at {outcome.states} states")
-        if outcome.winner is not Winner.COPS:
-            raise ValueError(f"cops lose with {args.cops} cop(s) here; raise --cops")
-        cop_policy = SolvedCops(outcome)
-    if args.robber == "solved":
-        if outcome is None:
-            outcome = solve(g, spec, budget=args.budget)
-            if outcome.winner is Winner.INCONCLUSIVE:
-                raise BudgetExceeded(f"solve stopped at {outcome.states} states")
-        robber_policy = SolvedRobber(outcome)
+    if args.script:
+        cop_policy = ScriptedCops(script)
+    elif outcome.winner is not Winner.COPS:
+        raise ValueError(f"cops lose with {args.cops} cop(s) here; raise --cops")
     else:
-        robber_policy = RandomRobber(args.seed)
+        cop_policy = SolvedCops(outcome)
+    robber_policy = SolvedRobber(outcome) if args.robber == "solved" else RandomRobber(args.seed)
     trace = play_match(g, spec, cop_policy, robber_policy, max_rounds=args.rounds)
     d = trace.to_dict()
     results = {"outcome": d["outcome"], "rounds": d["rounds"]}

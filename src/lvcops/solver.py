@@ -50,11 +50,7 @@ Layout of a solve:
      are closed downward, and its closure keeps no slots: once it
      completes, the walk search answers an open-loop game and decide any
      other, from the closure's context, with the winner, depth and
-     placement the propagation gives;
-  4. the per-state tables (won, wave, recorded action) of a game that was
-     not propagated are built when a caller first reads them, by a
-     retrograde solve of the same game (SolveOutcome), whose rows are in
-     _close's order: they are matched to the solve's rows by key.
+     placement the propagation gives.
 
 The store is compact: a state is the kernel's packed int (see engine._Ctx)
 mapped to its row in one dict, and every per-slot and per-row table is an
@@ -119,19 +115,19 @@ guard the walk's states outgrow them.
 
 decide's levels are also a strategy.  Each territory kept in X[c] is
 recorded with its level and the action that won it, and stays recorded
-when a larger one displaces it; so does each vertex added to V[c].  A
-state plays the action of the lowest-level record above it, and every
-successor of that action is terminal or has a lower level.  decide stops
-at the winning level before inserting its territories: it inserts only
-the winning placement's root, the one territory of that level that play
-reads from the placement, so the strategy from the placement is the one
-inserting the whole level would record.  In the time-delayed game each
-growth of Q[c] is recorded with its level and the action that won it, and
-the winning root with its own; a state plays the action of the
-lowest-level record holding a vertex whose point it is.  profile replays
-the capture strategy cop_number found, these levels or a clearing walk,
-under the monotone rule (_monotone_number) to get a monotone number
-without a monotone solve.
+when a larger one displaces it; so does each vertex added to V[c], each
+growth of Q[c] and each won root of the time-delayed game.  A state plays
+the action of the lowest-level record above it (holding a vertex whose
+point it is), and every successor of that action is terminal or has a
+lower level.  decide stops at the winning level before inserting its
+territories: it inserts only the winning placement's root, the one
+territory of that level that play reads from the placement.  Run to its
+fixpoint instead (stop=False), with no depth-0 shortcut, it wins exactly
+the states the retrograde propagation wins, each at its wave: that run is
+a solved outcome's strategy in every game but the monotone one
+(SolveOutcome.play).  profile replays the capture strategy cop_number
+found, these levels or a clearing walk, under the monotone rule
+(_monotone_number) to get a monotone number without a monotone solve.
 """
 
 from __future__ import annotations
@@ -221,10 +217,6 @@ class StateIndex(Mapping):
     def __len__(self) -> int:
         return len(self._rows)
 
-    def cops(self, a: int) -> tuple[int, ...]:
-        """The cops tuple of an action id."""
-        return self._ctx.cops_of[a]
-
 
 @dataclass(frozen=True)
 class SolveOutcome:
@@ -236,20 +228,14 @@ class SolveOutcome:
     covers the graph).
 
     index maps each interned state key to its row, in interning order: a
-    StateIndex over the solve's packed-int table.  won, wave_of and chosen
-    are the per-row tables (won flag, wave of a won row, and the action id
-    of a won row's recorded first-completing action, -1 for none); wave_of
-    and chosen are int32 arrays, and action(i) decodes chosen[i].  All four
-    are empty when INCONCLUSIVE.  Replay reads the solve through index
-    alone (SolvedCops, SolvedRobber).  policy, the key-level view of the
-    recorded actions, is set iff the cops win.
+    StateIndex over the solve's packed-int table, empty when INCONCLUSIVE.
 
-    The tables are built on first access, by a retrograde solve of the
-    same game (_retrograde), unless the solve that made the outcome was one
-    (tables holds them then).  That solve must give the outcome's winner,
-    states, wave sizes, depth, placement and set of state keys, or the
-    access raises AssertionError.  Its rows are in another order within a
-    wave, so its tables are matched to index by key.
+    play is the cops' strategy in a decided game, which SolvedCops and
+    SolvedRobber read: a won state's level, the cop moves that win it
+    against the worst adversary (its wave), and an action each successor of
+    which is terminal or of a lower level.  It is the retrograde run's
+    (retrograded) in the monotone game, and decide's fixpoint run to its end
+    in any other, built on first use (the module docstring).
     """
 
     winner: Winner
@@ -260,53 +246,25 @@ class SolveOutcome:
     graph: Graph
     spec: GameSpec
     index: Mapping[Key, int] = field(default_factory=dict, repr=False)
-    tables: tuple[bytearray, array, array] | None = field(default=None, repr=False, compare=False)
+    retrograded: _Retrograded | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def _tables(self) -> tuple[bytearray, array, array]:
-        if self.tables is not None:
-            return self.tables
+    def strategy(self) -> _Retrograded | _Antichains | _Points:
+        if self.retrograded is not None:
+            return self.retrograded
         if self.winner is Winner.INCONCLUSIVE:
-            return bytearray(), array("i"), array("i")
-        # the budget is the state count: a solve that would intern more stops
-        ref = _retrograde(self.graph, self.spec, budget=self.states)
-        mine = (self.winner, self.states, self.wave_sizes, self.depth, self.placement)
-        theirs = (ref.winner, ref.states, ref.wave_sizes, ref.depth, ref.placement)
-        rows, ref_rows = self.index._rows, ref.index._rows
-        if mine != theirs or rows.keys() != ref_rows.keys():
-            raise AssertionError(f"the retrograde solve gave {theirs}, the solve {mine}")
-        # the retrograde run's row of each of this index's states, in row order
-        at = [ref_rows[k] for k in rows]
-        won, wave_of, chosen = ref.tables
-        return (
-            bytearray(map(won.__getitem__, at)),
-            array("i", map(wave_of.__getitem__, at)),
-            array("i", map(chosen.__getitem__, at)),
-        )
+            raise ValueError("a budget stop has no strategy")
+        return _decide(self.graph, self.spec, stop=False)[3]
 
-    @property
-    def won(self) -> bytearray:
-        return self._tables[0]
-
-    @property
-    def wave_of(self) -> array:
-        return self._tables[1]
-
-    @property
-    def chosen(self) -> array:
-        return self._tables[2]
-
-    def action(self, i: int) -> tuple[int, ...] | None:
-        """The recorded action of row i, or None when it has none."""
-        a = self.chosen[i]
-        return None if a < 0 else self.index.cops(a)
-
-    @cached_property
-    def policy(self) -> Mapping[Key, tuple[int, ...]] | None:
-        if self.winner is not Winner.COPS:
-            return None
-        won, action = self.won, self.action
-        return {k: action(i) for k, i in self.index.items() if won[i]}
+    def play(self, state) -> tuple[int, tuple[int, ...]]:
+        """(level, action) of a state the cops win, the action as a cops
+        tuple; KeyError for any other state."""
+        fx, ctx = self.strategy, self.index._ctx
+        key = ctx.find(state)
+        if key is None:
+            raise KeyError(state)
+        level, a = fx.play(key)
+        return level, ctx.cops_of[a]
 
     def to_public_dict(self) -> dict:
         return {
@@ -358,9 +316,9 @@ def solve(
 
 def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> SolveOutcome:
     """solve by the retrograde propagation over the slots (the module
-    docstring, steps 1 to 3), with the outcome's tables built at once: the
+    docstring, steps 1 to 3), with its waves as the outcome's strategy: the
     solve of the monotone game, whose won states are not closed downward,
-    and the tables of any other."""
+    and the tests' oracle for any other."""
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
     cl = _close(g, spec, budget)
@@ -370,7 +328,7 @@ def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> So
     won = bytearray(n_states)
     wave_of = array("i", bytes(4 * n_states))
     preds, remaining = cl.preds, cl.remaining
-    slot_state, slot_action, chosen = cl.slot_state, cl.slot_action, cl.chosen
+    slot_state, slot_action, action = cl.slot_state, cl.slot_action, cl.action
     for i in cl.seeds:
         won[i] = 1
         wave_of[i] = 1
@@ -389,7 +347,7 @@ def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> So
                     if not won[i]:
                         won[i] = 1
                         wave_of[i] = wave
-                        chosen[i] = slot_action[slot]
+                        action[i] = slot_action[slot]
                         nxt.append(i)
         current = nxt
 
@@ -405,8 +363,27 @@ def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> So
     cl.ctx.forget()  # the outcome's index needs only the codec
     return SolveOutcome(
         winner, n_states, tuple(cl.wave_sizes), depth, win_placement, g, spec,
-        StateIndex(cl.ctx, cl.index), (won, wave_of, chosen),
+        StateIndex(cl.ctx, cl.index), _Retrograded(cl.index, won, wave_of, action),
     )
+
+
+class _Retrograded:
+    """The retrograde propagation's strategy, per row of the packed key ->
+    row index: the won flag, the wave of a won row and the action id of its
+    recorded first-completing action."""
+
+    __slots__ = ("rows", "won", "wave", "action")
+
+    def __init__(self, rows: dict[int, int], won: bytearray, wave: array, action: array) -> None:
+        self.rows, self.won, self.wave, self.action = rows, won, wave, action
+
+    def play(self, key: int) -> tuple[int, int]:
+        """(wave, action id) of the won state with the packed key; KeyError
+        for any other."""
+        i = self.rows.get(key)
+        if i is None or not self.won[i]:
+            raise KeyError(f"state {key} is not won")
+        return self.wave[i], self.action[i]
 
 
 class _Closure:
@@ -418,7 +395,7 @@ class _Closure:
 
     __slots__ = (
         "ctx", "index", "wave_sizes", "stopped",
-        "roots", "preds", "remaining", "slot_state", "slot_action", "chosen", "seeds",
+        "roots", "preds", "remaining", "slot_state", "slot_action", "action", "seeds",
     )
 
     def __init__(self, ctx: _Ctx) -> None:
@@ -435,7 +412,7 @@ class _Closure:
         self.remaining = array("i")  # unmet successors per slot
         self.slot_state = array("i")
         self.slot_action = array("i")
-        self.chosen = array("i")  # per expanded state: a winning action id, or -1
+        self.action = array("i")  # per expanded state: a winning action id, or -1
         self.seeds: list[int] = []  # states with an action that wins on the spot
 
     def inconclusive(self, spec: GameSpec, budget: int) -> SolveOutcome:
@@ -508,7 +485,7 @@ def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
     ctx = cl.ctx
     index, wave_sizes = cl.index, cl.wave_sizes
     preds, remaining, slot_state, slot_action = cl.preds, cl.remaining, cl.slot_state, cl.slot_action
-    chosen, seeds = cl.chosen, cl.seeds
+    action, seeds = cl.action, cl.seeds
     preds.extend(array("i") for _ in keys)
 
     n = g.n
@@ -567,10 +544,10 @@ def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
                         vis_rows[base | a] = tuple(row)
                     rows = [vis_rows[base | a] for a in acts]
                 if () in rows:
-                    chosen.append(acts[rows.index(())])
+                    action.append(acts[rows.index(())])
                     seeds.append(i)
                     continue
-                chosen.append(-1)
+                action.append(-1)
                 for a, row in zip(acts, rows):
                     slot = len(remaining)
                     remaining.append(len(row))
@@ -585,7 +562,7 @@ def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
                 if not (succ_keys or seen):
                     win = a
                     break
-            chosen.append(win)
+            action.append(win)
             if win < 0:
                 for a, succ_keys, seen in rows:
                     slot = len(remaining)
@@ -631,7 +608,26 @@ def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
     return cl
 
 
-class _Antichains:
+class _Levels:
+    """What the strategies of decide and the walk search share: play reads
+    a state by its packed key in the game's context."""
+
+    __slots__ = ("cmask", "cb", "ps")
+
+    def __init__(self, ctx: _Ctx) -> None:
+        self.cmask, self.cb, self.ps = ctx.cmask, ctx.cb, ctx.ps
+
+    def play(self, key: int) -> tuple[int, int]:
+        """(level, action id) of the won state with the packed key: each
+        successor of the action is terminal or has a lower level, so play
+        wins within level rounds.  KeyError for a state it does not win."""
+        hit = self._play(key & self.cmask, key >> self.cb & 3, key >> self.ps)
+        if hit is None:
+            raise KeyError(f"state {key} is not won")
+        return hit
+
+
+class _Antichains(_Levels):
     """decide's won sets of one game at one level of the fixpoint (see the
     module docstring), per cops tuple id c of the game's context, whose
     ids are the placements in order (engine._tuples).
@@ -645,14 +641,15 @@ class _Antichains:
     The levels are the cops' strategy.  kept[c] records every territory
     X[c] ever held, displaced ones included, as (level, territory, action)
     in the order they came, and sighted[c] every addition to V[c] as
-    (level, vertices, action); play reads a state's move off them.  The
-    winning level is not inserted, only the winning placement's root
-    territory, so the last level's records are those of that root alone.
+    (level, vertices, action); play reads a state's move off them.  A run
+    that stops at the winning level inserts of it only the winning
+    placement's root territory.
     """
 
     __slots__ = ("full", "grow", "occ", "dom", "sight", "X", "inter", "V", "kept", "sighted")
 
     def __init__(self, g: Graph, ctx: _Ctx) -> None:
+        super().__init__(ctx)
         self.full, self.grow = g.full, g.grow
         self.occ = ctx.occ
         self.dom = [g.full & m for m in ctx.nvis]
@@ -695,12 +692,10 @@ class _Antichains:
         self.sighted[c].append((level, new, a))
         return True
 
-    def play(self, c: int, tag: int, payload: int) -> tuple[int, int]:
-        """(level, action) of the won state (c, tag, payload): for a sighted
-        evader, those with which its vertex joined V[c]; otherwise those of
-        the lowest-level territory kept above payload.  Each successor of
-        the action is terminal or has a lower level, so play wins within
-        level rounds."""
+    def _play(self, c: int, tag: int, payload: int) -> tuple[int, int] | None:
+        """For a sighted evader, the record with which its vertex joined
+        V[c]; otherwise that of the lowest-level territory kept above
+        payload."""
         if tag == VIS:
             for level, m, a in self.sighted[c]:
                 if m >> payload & 1:
@@ -709,7 +704,6 @@ class _Antichains:
             for level, m, a in self.kept[c]:
                 if payload | m == m:
                     return level, a
-        raise KeyError(f"state ({c}, {tag}, {payload}) is not won")
 
     def offers(self, a: int) -> tuple[int, set[int]]:
         """What the action a wins into its won sets: the vertices ok on
@@ -724,41 +718,38 @@ class _Antichains:
         return ok, {base | nb & ~(h | gb) for h in self.X[a].values() or (inter,)}
 
 
-class _Points:
+class _Points(_Levels):
     """decide's won sets of the time-delayed game (see the module
     docstring), per cops tuple id c in placement order.  free[c] holds the
     vertices off c's cops, and Q[c] the disclosed vertices v whose state
     (c, N[v] & free[c]) is won.
 
     The levels are the cops' strategy.  grew[c] records each growth of
-    Q[c] as (level, vertices, action), in level order, and root the
-    winning placement's root as (tuple, level, action); play reads a
-    state's move off them.
+    Q[c] as (level, vertices, action), in level order, and root[c] the
+    (level, action) of the won root (c, free[c]), only the winning
+    placement's in a run that stops; play reads a state's move off them.
     """
 
     __slots__ = ("adjc", "free", "Q", "grew", "root")
 
     def __init__(self, g: Graph, ctx: _Ctx) -> None:
+        super().__init__(ctx)
         self.adjc = g.adj_closed
         self.free = [g.full & ~m for m in ctx.occ]
         self.Q = [0] * len(ctx.occ)
         self.grew: list[list[tuple[int, int, int]]] = [[] for _ in ctx.occ]
-        self.root: tuple[int, int, int] | None = None
+        self.root: dict[int, tuple[int, int]] = {}
 
-    def play(self, c: int, tag: int, payload: int) -> tuple[int, int]:
-        """(level, action) of the won state (c, tag, payload): the winning
-        root's record, or the lowest-level record holding some v with
-        N[v] & free[c] == payload.  Each successor of the action is a
-        state of a lower level, so play wins within level rounds."""
-        if tag == DEL:
-            if self.root is not None and self.root[0] == c and payload == self.free[c]:
-                return self.root[1:]
-            adjc, free = self.adjc, self.free[c]
-            for level, m, a in self.grew[c]:
-                for v in bits(m):
-                    if adjc[v] & free == payload:
-                        return level, a
-        raise KeyError(f"state ({c}, {tag}, {payload}) is not won")
+    def _play(self, c: int, tag: int, payload: int) -> tuple[int, int] | None:
+        """The root's record, or the lowest-level record holding some v
+        with N[v] & free[c] == payload."""
+        adjc, free = self.adjc, self.free[c]
+        if tag == DEL and payload == free and c in self.root:
+            return self.root[c]
+        for level, m, a in self.grew[c] if tag == DEL else ():
+            for v in bits(m):
+                if adjc[v] & free == payload:
+                    return level, a
 
 
 def decide(
@@ -771,26 +762,31 @@ def decide(
 
 
 def _decide(
-    g: Graph, spec: GameSpec, ctx: _Ctx | None = None
+    g: Graph, spec: GameSpec, ctx: _Ctx | None = None, *, stop: bool = True
 ) -> tuple[Winner, int | None, tuple[int, ...] | None, _Antichains | _Points]:
     """decide, with its won sets (the time-delayed game's points, any
     other game's antichains): on a cops win, fx.play is a winning strategy
-    from the placement, over cops tuple ids in placement order.  ctx, if
-    given, is a context of the game whose table is complete."""
+    from the placement, over packed keys of the game's context.  ctx, if
+    given, is a context of the game whose table is complete.
+
+    With stop False the fixpoint runs to its end, from level 1 even where
+    a placement wins at depth 0, so that fx.play is defined on every won
+    state; the winner, depth and placement are the same."""
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
     if spec.monotone:
         raise ValueError("the monotone game's won states are not closed downward")
     ctx = ctx or _Ctx(g, spec)
     if spec.delayed:
-        return _decide_points(g, ctx)
+        return _decide_points(g, ctx, stop)
     placements, moves = ctx.cops_of, ctx.tab.moves()
     fx = _Antichains(g, ctx)
     dom, sight, V = fx.dom, fx.sight, fx.V
     sighted = any(sight)
-    for c, p in enumerate(placements):
-        if not (sight[c] or dom[c]):
-            return Winner.COPS, 0, p, fx
+    # the first winning (depth, placement)
+    won = next(((0, p) for c, p in enumerate(placements) if not (sight[c] or dom[c])), None)
+    if won and stop:
+        return Winner.COPS, *won, fx
 
     # Level w holds what is won within w cop moves and is made from level
     # w - 1 alone.  An action whose X and V stayed put offers what it
@@ -821,36 +817,40 @@ def _decide(
                     offers[c].setdefault(t & dom[c], a)
         # a placement is won here once every sighted root is and its
         # territory is held or offered (an offer is cut to dom, so one that
-        # covers the territory equals it); the winning level is not
-        # inserted, only the winning root, which is all play reads from it
-        for c in sorted(changed.union(offers)):
+        # covers the territory equals it); a stop leaves the winning level
+        # out, but for the winning root, which is all play reads from it
+        for c in () if won else sorted(changed.union(offers)):
             if sight[c] & ~V[c]:
                 continue
             r, got = dom[c], offers.get(c, {})
-            if not r or r in fx.X[c]:
-                return Winner.COPS, depth, placements[c], fx
-            if r in got:
-                fx.insert_all(c, {r: got[r]}, depth)
-                return Winner.COPS, depth, placements[c], fx
+            if r and r not in fx.X[c] and r not in got:
+                continue
+            won = depth, placements[c]
+            if stop:
+                if r and r in got:
+                    fx.insert_all(c, {r: got[r]}, depth)
+                return Winner.COPS, *won, fx
+            break
         for c, got in offers.items():
             got.pop(0, None)
             if fx.insert_all(c, got, depth):
                 changed.add(c)
         dirty = sorted(changed)
-    return Winner.ROBBER, None, None, fx
+    return (Winner.COPS, *won, fx) if won else (Winner.ROBBER, None, None, fx)
 
 
 def _decide_points(
-    g: Graph, ctx: _Ctx
+    g: Graph, ctx: _Ctx, stop: bool
 ) -> tuple[Winner, int | None, tuple[int, ...] | None, _Points]:
     """_decide for the time-delayed game, by the point fixpoint of the
     module docstring, over the complete table of ctx."""
     placements, moves = ctx.cops_of, ctx.tab.moves()
     fx = _Points(g, ctx)
     free, Q, grew, grow, grown = fx.free, fx.Q, fx.grew, g.grow, ctx.grown
-    for c, p in enumerate(placements):
-        if not free[c]:
-            return Winner.COPS, 0, p, fx
+    # the first winning (depth, placement)
+    won = next(((0, p) for c, p in enumerate(placements) if not free[c]), None)
+    if won and stop:
+        return Winner.COPS, *won, fx
 
     # Level w is made from level w - 1 alone, and only through the tuples
     # whose Q changed at w - 1 (at level 1, every tuple's Q_0 = 0 is new):
@@ -871,9 +871,13 @@ def _decide_points(
                     continue
                 x &= fa
                 if not x:
-                    # the root (a, free[a]) is won here; the level is not applied
-                    fx.root = (a, depth, b)
-                    return Winner.COPS, depth, placements[a], fx
+                    # the root (a, free[a]) is won here; a stop leaves the
+                    # level out
+                    if a not in fx.root:
+                        fx.root[a] = depth, b
+                        won = won or (depth, placements[a])
+                        if stop:
+                            return Winner.COPS, *won, fx
                 h = grown.get(x)
                 if h is None:
                     h = grown[x] = grow(x)
@@ -885,7 +889,7 @@ def _decide_points(
             Q[a] |= new
             grew[a].append((depth, new, b))
         changed = {a for a, _, _ in got}
-    return Winner.ROBBER, None, None, fx
+    return (Winner.COPS, *won, fx) if won else (Winner.ROBBER, None, None, fx)
 
 
 def _open_loop(spec: GameSpec) -> bool:
@@ -895,25 +899,20 @@ def _open_loop(spec: GameSpec) -> bool:
     return spec.see_goal or spec.variant is Variant.CAPTURE and spec.ell == 0
 
 
-class _Walk:
+class _Walk(_Levels):
     """The clearing walk _clearing_walk found, as a strategy: each state on
-    it, keyed (cops tuple id, territory), with the rounds left from it and
-    the action it plays."""
+    it, keyed (cops tuple id, territory), with its level (the rounds left)
+    and the action it plays, whose successor, if any, is the next state."""
 
     __slots__ = ("steps", "states")
 
-    def __init__(self, steps: dict[tuple[int, int], tuple[int, int]], states: int) -> None:
+    def __init__(self, ctx: _Ctx, steps: dict[tuple[int, int], tuple[int, int]], states: int) -> None:
+        super().__init__(ctx)
         self.steps = steps
         self.states = states  # how many states the search visited
 
-    def play(self, c: int, tag: int, payload: int) -> tuple[int, int]:
-        """(rounds left, action) of the state (c, tag, payload) on the walk;
-        the action's one successor is the walk's next state, with one round
-        fewer left, or none on the last."""
-        hit = self.steps.get((c, payload)) if tag == INV else None
-        if hit is None:
-            raise KeyError(f"state ({c}, {tag}, {payload}) is not on the walk")
-        return hit
+    def _play(self, c: int, tag: int, payload: int) -> tuple[int, int] | None:
+        return self.steps.get((c, payload)) if tag == INV else None
 
 
 def _clearing_walk(
@@ -944,7 +943,7 @@ def _clearing_walk(
     nb = [g.full & m for m in ctx.nvis]
     for c, p in enumerate(placements):
         if not nb[c]:
-            return Winner.COPS, 0, p, _Walk({}, 0)
+            return Winner.COPS, 0, p, _Walk(ctx, {}, 0)
 
     # a state is the kernel's packed key of (cops tuple c, INV, territory T)
     ps, cmask = ctx.ps, ctx.cmask
@@ -967,7 +966,7 @@ def _clearing_walk(
                         (s & cmask, s >> ps): (depth - i, act)
                         for i, (s, act) in enumerate(zip(path, acts))
                     }
-                    return Winner.COPS, depth, placements[path[0] & cmask], _Walk(steps, len(parent))
+                    return Winner.COPS, depth, placements[path[0] & cmask], _Walk(ctx, steps, len(parent))
         nxt = []
         for key in frontier:
             t = key >> ps
@@ -981,7 +980,7 @@ def _clearing_walk(
                     parent[s] = key
                     nxt.append(s)
         frontier = nxt
-    return Winner.ROBBER, None, None, _Walk({}, len(parent))
+    return Winner.ROBBER, None, None, _Walk(ctx, {}, len(parent))
 
 
 def _least_winning(
@@ -1067,13 +1066,13 @@ def _monotone_number(
     no monotone solve of at most k cops could reach the budget, so no
     count below k could have stopped a search from 1.
     """
-    ctx = _Ctx(g, GameSpec(ell, k, Variant.MONOTONE_CAPTURE))  # decide's ids
-    cb, ps, cmask = ctx.cb, ctx.ps, ctx.cmask
+    # decide's table, so fx.play reads the ids, tags and payloads of its keys
+    ctx = _Ctx(g, GameSpec(ell, k, Variant.MONOTONE_CAPTURE))
     todo = list(_initial_keys(ctx, ctx.cid(placement), g.full))
     met = set(todo)
     while todo:
         key = todo.pop()
-        a = fx.play(key & cmask, key >> cb & 3, key >> ps)[1]
+        a = fx.play(key)[1]
         rows = _expand(ctx, key, (a,))
         if not rows:
             return _least_winning(g, ell, Variant.MONOTONE_CAPTURE, budget=budget, first=k)[0]
@@ -1453,12 +1452,12 @@ def _search_forked(
 
 
 # -- playable policies out of a solve -------------------------------------------
-# Both policies read the solve through SolveOutcome.index; a state the solve
-# never reached is a pass for the cops and scores (0, 0) for the evader.
+# Both policies read the solve through SolveOutcome.play alone: a state the
+# cops do not win is a pass for them and scores (1, 0) for the evader.
 
 
 class SolvedCops:
-    """Plays the recorded winning policy; passes if asked off-table."""
+    """Plays the solved strategy; passes on a state it does not win."""
 
     def __init__(self, outcome: SolveOutcome) -> None:
         if outcome.winner is not Winner.COPS:
@@ -1469,18 +1468,20 @@ class SolvedCops:
         return self._out.placement
 
     def move(self, g: Graph, spec: GameSpec, state: BeliefState) -> tuple[int, ...]:
-        i = self._out.index.get(state)
-        act = None if i is None else self._out.action(i)
-        return state.cops if act is None else act
+        try:
+            return self._out.play(state)[1]
+        except KeyError:
+            return state.cops
 
 
 class SolvedRobber:
-    """Plays adversary branches from the solved tables of a decided outcome.
+    """Plays adversary branches by the levels of a decided outcome.
 
     Branch choice is exact: prefer any branch the cops never win; among
-    winning-for-cops branches take the deepest.  The concrete vertex
-    inside a territory branch is a heuristic (max distance to the cops),
-    which is where belief-level and played-out optimality can part ways.
+    winning-for-cops branches take the deepest (highest level).  The
+    concrete vertex inside a territory branch is a heuristic (max distance
+    to the cops), which is where belief-level and played-out optimality
+    can part ways.
     """
 
     def __init__(self, outcome: SolveOutcome) -> None:
@@ -1490,11 +1491,10 @@ class SolvedRobber:
 
     def _score(self, key: Key) -> tuple[int, int]:
         # (robber-winning, survival depth): bigger is better
-        out = self._out
-        i = out.index.get(key)
-        if i is None:
-            return (0, 0)
-        return (0, out.wave_of[i]) if out.won[i] else (1, 0)
+        try:
+            return (0, self._out.play(key)[0])
+        except KeyError:
+            return (1, 0)
 
     def place(self, g: Graph, spec: GameSpec, cops: tuple[int, ...]) -> int | None:
         roots = initial_branches(g, spec, cops)

@@ -566,6 +566,8 @@ class _ShadowCapture:
         self.ell = ell
         self._see = see
         self._classical = classical
+        self._seeking = SolvedCops(see)
+        self._capturing = SolvedCops(classical)
         self._seekers = see.spec.cops
         self._squad_size = classical.spec.cops
         self.cops = max(self._seekers, self._squad_size + 1)
@@ -606,7 +608,7 @@ class _ShadowCapture:
                 self._advance_belief(g)
             if self._belief is None:
                 raise AssertionError("unseen branch must exist while the referee reports unseen")
-            want = SolvedCops(self._see).move(g, self._see.spec, self._belief)
+            want = self._seeking.move(g, self._see.spec, self._belief)
             seekers = self._pos[: self._seekers]
             moved = _match_step(g, seekers, want)
             self._pos[: self._seekers] = moved
@@ -621,7 +623,7 @@ class _ShadowCapture:
         self._pos[ti] = _route(g, self._pos[ti], r)[0]
         squad = [self._pos[i] for i in self._squad]
         key_state = BeliefState(tuple(sorted(squad)), VIS, r)
-        want = SolvedCops(self._classical).move(g, self._classical.spec, key_state)
+        want = self._capturing.move(g, self._classical.spec, key_state)
         moved = _match_step(g, squad, want)
         for i, v in zip(self._squad, moved):
             self._pos[i] = v

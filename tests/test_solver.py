@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -42,7 +41,6 @@ from lvcops.solver import (
     Profile,
     SolvedCops,
     SolvedRobber,
-    StateIndex,
     Winner,
     _Antichains,
     _clearing_walk,
@@ -266,22 +264,35 @@ def _pinned_graph(recipe):
     return generate(parse_recipe(recipe)).graph
 
 
+def _policy_digest(ref):
+    """The first 16 hex digits of the SHA-256 of a retrograde run's policy:
+    the sorted (state key, cops tuple of its recorded first-completing
+    action) pairs of its won states.  None unless the cops win."""
+    if ref.winner is not Winner.COPS:
+        return None
+    rw, cops_of = ref.retrograded, ref.index._ctx.cops_of
+    policy = {key: cops_of[rw.action[i]] for key, i in ref.index.items() if rw.won[i]}
+    return hashlib.sha256(repr(sorted(policy.items())).encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("recipe, spec, budget, expected, policy_digest", PINNED)
 def test_pinned_solves(recipe, spec, budget, expected, policy_digest):
     # values recorded from the solver before its core was rewritten (the
     # see, time-delayed and radius-2 rows before the mask-algebra kernel,
     # the census rows before VIS rows were shared across cop tuples, the
     # 24-vertex tree before sighted successors became a vertex mask);
-    # state counts, wave sizes, budget stops and the first-completing
-    # actions must not move under a speed-up
+    # state counts, wave sizes, budget stops and the retrograde run's
+    # first-completing actions must not move under a speed-up.  The
+    # solve's strategy plays every state the retrograde run wins, at its
+    # wave
     g = _pinned_graph(recipe)
-    out = solve(g, spec, budget=budget)
+    out, ref = solve(g, spec, budget=budget), _retrograde(g, spec, budget=budget)
     assert (out.winner, out.states, out.wave_sizes, out.depth) == expected
-    if policy_digest is None:
-        assert out.policy is None
-    else:
-        blob = repr(sorted(out.policy.items())).encode()
-        assert hashlib.sha256(blob).hexdigest()[:16] == policy_digest
+    assert _policy_digest(ref) == policy_digest
+    if out.winner is Winner.INCONCLUSIVE:
+        return
+    rw = ref.retrograded
+    assert all(out.strategy.play(key)[0] == rw.wave[i] for key, i in rw.rows.items() if rw.won[i])
 
 
 @pytest.mark.parametrize("recipe, spec, budget, expected, policy_digest", PINNED)
@@ -355,6 +366,8 @@ def test_finished_solve_index_holds_no_memos():
         assert all(len(x) <= tab.size for x in stores if hasattr(x, "__len__"))
         assert [out.index[key] for key in out.index] == list(range(out.states))
         assert SolvedCops(out).move(out.graph, spec, BeliefState(*next(iter(out.index))))
+        # building the strategy leaves none behind either
+        assert (ctx.grown, ctx.seen) == ({}, {})
 
 
 # -- independent oracles ------------------------------------------------------------
@@ -546,9 +559,9 @@ def _solved(g, spec):
 @functools.cache
 def _retrograded(g, spec):
     """The retrograde solve of a graph and a resolved spec, made once per
-    test run.  It is the run that builds a solve's tables, and the one
-    answer here that neither decide nor the walk search gives: solve
-    answers every game but the monotone one by one of them."""
+    test run.  It is the one answer here that neither decide nor the walk
+    search gives (solve answers every game but the monotone one by one of
+    them), and its waves are the oracle of the solve's strategy."""
     return _retrograde(g, spec)
 
 
@@ -878,10 +891,10 @@ def test_seen_memo_starting_afresh_changes_no_solve(monkeypatch, row):
 
     recipe, spec, budget, expected, policy_digest = PINNED[row]
     monkeypatch.setattr(engine, "_SEEN_MEMO_CAP", 2)
-    out = solve(_pinned_graph(recipe), spec, budget=budget)
+    g = _pinned_graph(recipe)
+    out = solve(g, spec, budget=budget)
     assert (out.winner, out.states, out.wave_sizes, out.depth) == expected
-    blob = repr(sorted(out.policy.items())).encode()
-    assert hashlib.sha256(blob).hexdigest()[:16] == policy_digest
+    assert _policy_digest(_retrograde(g, spec, budget=budget)) == policy_digest
     assert len(out.index._ctx.seen) <= 2
 
 
@@ -1118,19 +1131,17 @@ def test_decided_strategy_wins_within_depth():
             if winner is not Winner.COPS:
                 continue
             games += 1
-            ids = {p: c for c, p in enumerate(
-                itertools.combinations_with_replacement(range(g.n), spec.cops))}
-            cops_of = list(ids)
+            ctx = _Ctx(g, spec)  # play reads packed keys
             todo = [(s, depth + 1, 0) for s in initial_branches(g, spec, placement)]
             for s, _, _ in todo:
                 if s.tag != VIS:
-                    assert fx.play(ids[s.cops], s.tag, s.payload)[0] == depth, (g.edges, spec)
+                    assert fx.play(ctx.encode(s))[0] == depth, (g.edges, spec)
                     rooted += 1
             while todo:
                 state, above, rounds = todo.pop()
-                level, a = fx.play(ids[state.cops], state.tag, state.payload)
+                level, a = fx.play(ctx.encode(state))
                 assert 0 < level < above and rounds < depth, (g.edges, spec, state)
-                for s in round_branches(g, spec, state, cops_of[a]):
+                for s in round_branches(g, spec, state, ctx.cops_of[a]):
                     todo.append((s, level, rounds + 1))
     assert games > 500 and rooted > 250
 
@@ -1148,13 +1159,13 @@ def test_clearing_walk_wins_in_depth_rounds():
                 winner, depth, placement, walk = _clearing_walk(g, spec)
                 if winner is not Winner.COPS:
                     continue
-                cops_of = list(itertools.combinations_with_replacement(range(g.n), k))
+                ctx = _Ctx(g, spec)  # play reads packed keys
                 states = initial_branches(g, spec, placement)
                 for left in range(depth, 0, -1):
                     (state,) = states
-                    played, a = walk.play(cops_of.index(state.cops), state.tag, state.payload)
+                    played, a = walk.play(ctx.encode(state))
                     assert played == left, (g.edges, spec, state)
-                    states = round_branches(g, spec, state, cops_of[a])
+                    states = round_branches(g, spec, state, ctx.cops_of[a])
                 assert states == (), (g.edges, spec)
                 walked.add(depth)
     assert {0, 1, 2, 3} <= walked
@@ -1189,10 +1200,10 @@ def test_decide_pins_the_paper_tree_capture_game():
     assert g.n == 57
     winner, depth, placement, fx = _decide(g, GameSpec(2, 2))
     assert (winner, depth, placement) == (Winner.COPS, 26, (2, 33))
-    cops_of = list(itertools.combinations_with_replacement(range(g.n), 2))
-    c = cops_of.index(placement)
-    level, a = fx.play(c, INV, fx.dom[c])
-    assert (level, cops_of[a]) == (26, (4, 32))
+    ctx = _Ctx(g, GameSpec(2, 2))
+    c = ctx.cid(placement)
+    level, a = fx.play(ctx.encode((placement, INV, fx.dom[c], SNAP_FREE)))
+    assert (level, ctx.cops_of[a]) == (26, (4, 32))
 
 
 def test_retrograde_profile_matches_the_decided_one():
@@ -1281,7 +1292,7 @@ def test_budget_stop_among_the_roots_lists_few_placements():
     assert len(_tuples(g, 12).cops_of) == 101
 
 
-# -- solve's answer and its tables ---------------------------------------------------
+# -- solve's answer and its strategy -------------------------------------------------
 # solve expands every game to closure and answers all but the monotone one
 # by decide or the walk search.  The retrograde solve, which keeps the
 # slots and propagates over them, is the independent answer it is held to.
@@ -1304,7 +1315,7 @@ def test_solve_gives_the_retrograde_answer():
     reordered = 0
     for g, spec in _non_monotone_games():
         out, ref = _solved(g, spec), _retrograded(g, spec)
-        assert out.tables is None and ref.tables is not None
+        assert out.retrograded is None and ref.retrograded is not None
         got = (out.winner, out.states, out.wave_sizes, out.depth, out.placement)
         assert got == (ref.winner, ref.states, ref.wave_sizes, ref.depth, ref.placement), (g.edges, spec)
         keys, ref_keys = list(out.index._rows), list(ref.index._rows)
@@ -1343,38 +1354,44 @@ def _counting_closures(monkeypatch) -> list[str]:
     return closures
 
 
-def _by_key(out):
-    """An outcome's tables keyed by packed state: (won, wave, action id)."""
-    won, wave_of, chosen = out.won, out.wave_of, out.chosen
-    return {key: (won[i], wave_of[i], chosen[i]) for key, i in out.index._rows.items()}
-
-
-def test_lazy_tables_equal_an_eager_run(monkeypatch):
-    # the first read of a table runs one retrograde solve, whose tables,
-    # matched by state, are the solve's, and no read after it runs another
+def test_strategy_levels_are_the_retrograde_waves(monkeypatch):
+    # a solve's strategy is decide's fixpoint run to its end, built on first
+    # use with no closure of its own.  On every
+    # state the retrograde run interns, depth-0 and time-delayed games
+    # included, it is defined iff that run wins the state, its level is the
+    # run's wave, and each successor of the action it plays is terminal or
+    # won at a lower level
     closures = _counting_closures(monkeypatch)
-    won = 0
+    won = lost = 0
+    games = set()
     for g, spec in _non_monotone_games():
         ref = _retrograded(g, spec)
         closures.clear()
         out = solve(g, spec)
+        fx = out.strategy
         assert closures == ["waves"]
-        assert _by_key(out) == _by_key(ref), (g.edges, spec)
-        assert out.policy == ref.policy, (g.edges, spec)
-        assert closures == ["waves", "close"]
-        won += out.winner is Winner.COPS
-    assert won > 500
-    # a table-building run that does not give the outcome's answer or its
-    # states is refused
-    out = solve(cycle(4), GameSpec(1, 2))
-    fewer = StateIndex(out.index._ctx, dict(list(out.index._rows.items())[:-1]))
-    for wrong in (
-        dataclasses.replace(out, depth=out.depth + 1),
-        dataclasses.replace(out, placement=(0, 0)),
-        dataclasses.replace(out, index=fewer),
-    ):
-        with pytest.raises(AssertionError):
-            wrong.won
+        assert _decide(g, spec, stop=False)[:3] == (out.winner, out.depth, out.placement)
+        ctx = _Ctx(g, spec)
+        moves = ctx.tab.moves()
+        rw = ref.retrograded
+        for key, i in rw.rows.items():
+            if not rw.won[i]:
+                with pytest.raises(KeyError):
+                    fx.play(key)
+                lost += 1
+                continue
+            level, a = fx.play(key)
+            assert level == rw.wave[i], (g.edges, spec, ctx.decode(key))
+            assert a in moves[key & ctx.cmask]
+            assert out.play(ctx.decode(key)) == (level, ctx.cops_of[a])
+            ((_, succs, seen),) = _expand(ctx, key, (a,))
+            for s in succs + _vis_keys(ctx, a, seen):
+                assert fx.play(s)[0] < level, (g.edges, spec, ctx.decode(key))
+            won += 1
+        games.add((spec.variant, out.depth))
+    assert won > 20_000 and lost > 5_000
+    for variant in (Variant.CAPTURE, Variant.SEE, Variant.TIME_DELAYED):
+        assert {(variant, 0), (variant, None)} <= games
 
 
 def test_every_budget_stops_where_the_retrograde_run_does():
@@ -1426,7 +1443,7 @@ def test_budget_stop_never_answers(monkeypatch):
 
 def test_monotone_solve_expands_each_state_once(monkeypatch):
     # the monotone game is answered by the retrograde solve itself: one
-    # closure, each state expanded once, and reading its tables runs none
+    # closure, each state expanded once, and its waves are the strategy
     from lvcops import solver
 
     closures = _counting_closures(monkeypatch)
@@ -1443,8 +1460,7 @@ def test_monotone_solve_expands_each_state_once(monkeypatch):
         closures.clear()
         expanded.clear()
         out = solve(g, spec)
-        assert out.tables is not None
-        assert (out.won, out.wave_of, out.chosen) == out.tables and (out.policy is None) == (out.depth is None)
+        assert out.strategy is out.retrograded is not None
         assert closures == ["close"]
         assert len(expanded) == len(set(expanded)) <= out.states
         # a state whose rows were all built is not expanded again: only
@@ -1454,8 +1470,8 @@ def test_monotone_solve_expands_each_state_once(monkeypatch):
 
 
 def test_solve_memory_per_state():
-    # tracemalloc's peak over the retrograde solve that builds a solve's
-    # tables, per interned state.  The store of tuple keys, int lists and
+    # tracemalloc's peak over the retrograde solve, which keeps the slots,
+    # per interned state.  The store of tuple keys, int lists and
     # per-state pred lists peaked at 688 B/state here (Python 3.11); packed
     # keys and int32 tables need under 0.7x that.  solve itself keeps no
     # slots, so it peaks lower still
@@ -1478,6 +1494,51 @@ def test_solve_memory_per_state():
         assert out.states == 1180
     assert peaks[0] / out.states <= 0.7 * 688
     assert peaks[1] < peaks[0]
+
+
+def _policy_games():
+    """(graph, resolved spec) of every game on the oracle graphs at radii 0
+    to 2 and 1 to 2 cops, and of the README's solved-robber simulate
+    examples."""
+    for g in _oracle_graphs():
+        for spec in _all_specs(g, (0, 1, 2)):
+            yield g, spec
+    for recipe, spec in (
+        ("cycle:4", GameSpec(1, 2)),
+        ("cycle:6", GameSpec(0, 2, Variant.TIME_DELAYED)),
+        ("randomtree:n=24,seed=4", GameSpec(1, 2)),
+    ):
+        g = _pinned_graph(recipe)
+        yield g, spec.resolve(g)
+
+
+def test_solved_policies_meet_the_retrograde_ones():
+    # the policies read the solve's strategy; over the retrograde run they
+    # read its recorded first-completing actions and waves instead.  The
+    # solve's cops end the game within depth rounds against either robber.
+    # Against the retrograde run's cops the solve's robber plays the match
+    # the retrograde run's robber plays, and lasts depth rounds wherever the
+    # cops see the evader live at a positive radius.  In a blind or
+    # time-delayed game the evader's vertex within its territory is a guess
+    # (SolvedRobber), and 21 of these matches end sooner, for both robbers
+    games = short = 0
+    for g, spec in _policy_games():
+        out = solve(g, spec)
+        if out.winner is not Winner.COPS:
+            continue
+        ref = _retrograde(g, spec)
+        depth = out.depth
+        for robber in (SolvedRobber(out), SolvedRobber(ref)):
+            tr = play_match(g, spec, SolvedCops(out), robber, max_rounds=depth + 1)
+            assert tr.outcome is not Outcome.TIMEOUT and tr.rounds <= depth, (g.edges, spec)
+        tr = play_match(g, spec, SolvedCops(ref), SolvedRobber(out), max_rounds=depth + 1)
+        old = play_match(g, spec, SolvedCops(ref), SolvedRobber(ref), max_rounds=depth + 1)
+        assert tr.outcome is not Outcome.TIMEOUT and tr.history == old.history, (g.edges, spec)
+        if tr.rounds < depth:
+            assert spec.ell == 0 or spec.delayed, (g.edges, spec)
+            short += 1
+        games += 1
+    assert games > 800 and short == 21
 
 
 def test_policy_captures_against_solver_robber():
