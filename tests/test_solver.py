@@ -1132,6 +1132,8 @@ def test_decided_strategy_wins_within_depth():
                 continue
             games += 1
             ctx = _Ctx(g, spec)  # play reads packed keys
+            # whose cops ids are the placements in order
+            assert ctx.cops_of == list(itertools.combinations_with_replacement(range(g.n), spec.cops))
             todo = [(s, depth + 1, 0) for s in initial_branches(g, spec, placement)]
             for s, _, _ in todo:
                 if s.tag != VIS:
@@ -1160,6 +1162,7 @@ def test_clearing_walk_wins_in_depth_rounds():
                 if winner is not Winner.COPS:
                     continue
                 ctx = _Ctx(g, spec)  # play reads packed keys
+                assert ctx.cops_of == list(itertools.combinations_with_replacement(range(g.n), k))
                 states = initial_branches(g, spec, placement)
                 for left in range(depth, 0, -1):
                     (state,) = states
