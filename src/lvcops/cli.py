@@ -609,18 +609,17 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
     single, _ = _graph_from_args(args)
     if single is not None:
-        candidates = iter([single])
-        limit = 1
+        draw, limit = lambda i: single, 1
     else:
         # needing two cops to capture is vanishingly rare below eight
         # vertices, so every draw uses the full admissible order; a draw
         # depends on its index alone, so worker processes can share the
         # stream out by index
-        def candidates(i: int) -> Graph:
+        def draw(i: int) -> Graph:
             return random_copwin_graph(args.max_n, seed=args.seed + i)
 
         limit = args.limit
-    res = search_witness(hit, candidates, limit=limit, profiler=profiler, workers=args.workers)
+    res = search_witness(hit, draw, limit=limit, profiler=profiler, workers=args.workers)
     found = res.graph is not None
     results = {
         "found": found,

@@ -28,36 +28,25 @@ Layout of a solve:
      action over the whole wave's masks, with no kernel row per state,
      and its new states are interned by action id, then by packed key.
      The monotone game (_close) is expanded state by state with the kernel
-     (one round per legal cop action), interning in discovery order.
-     There a VIS state's row for an action depends on the evader's vertex
-     and the action, not on the cops tuple it is played from, so within
-     the first wave it is built once and kept as its successors' rows; a
-     later state with the same vertex and action reads it instead of
-     calling the kernel.  Its successors were interned when the row was
-     first built, so a read interns nothing;
+     (one round per legal cop action), interning in discovery order;
   3. answer.  The monotone game is answered by the retrograde propagation
      (_retrograde).  Its closure also gives each (state, action) pair with
      a nonempty successor set one slot in flat arrays: its unmet successor
      count, its state and its action id, plus per-state arrays of the
      slots that wait on that state.  A kernel row names its sighted (VIS)
-     successors by a vertex mask.  Each of them is a root, interned in
-     step 1, so its row is read from the roots' row table and nothing is
-     packed, hashed or interned for it.  Wins propagate wave-synchronously
-     over the slots: a state's wave is the number of cop moves needed
-     against the worst adversary, and the recorded action is the first to
-     complete, under a fixed enumeration order.  The cops win iff some
-     placement has every root branch won.  Every other game's won states
-     are closed downward, and its closure keeps no slots: once it
-     completes, the walk search answers an open-loop game and decide any
-     other, from the closure's context, with the winner, depth and
-     placement the propagation gives.
+     successors by a vertex mask; each of them is a root, interned in
+     step 1.  Wins propagate wave-synchronously over the slots: a state's
+     wave is the number of cop moves needed against the worst adversary,
+     and the recorded action is the first to complete, under a fixed
+     enumeration order.  The cops win iff some placement has every root
+     branch won.  Every other game's won states are closed downward, and
+     its closure keeps no slots: once it completes, the walk search
+     answers an open-loop game and decide any other, from the closure's
+     context, with the winner, depth and placement the propagation gives.
 
 The store is compact: a state is the kernel's packed int (see engine._Ctx)
 mapped to its row in one dict, and every per-slot and per-row table is an
-int32 array, as is each state's list of waiting slots.  So is the roots'
-row table of a game with sightings: the row of the evader seen on v with
-the cops on the placement a, at a * n + v, one entry per placement and
-vertex.
+int32 array, as is each state's list of waiting slots.
 
 The state budget is a hard cap on interned states.  Hitting it aborts with
 winner INCONCLUSIVE and states equal to the cap, never a guessed answer.
@@ -488,75 +477,17 @@ def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
     action, seeds = cl.action, cl.seeds
     preds.extend(array("i") for _ in keys)
 
-    n = g.n
-    cmask, ps = ctx.cmask, ctx.ps
-    tmask, vtag = 3 << ctx.cb, VIS << ctx.cb
-    # Every sighted successor is a root: the evader seen on v with the cops
-    # on a is a branch of the placement a's opening split.  Every tuple is
-    # a placement above, so root_row[a * n + v] is that root's row.  Only a
-    # game with sightings has VIS states.
-    root_row = array("i")
-    if not (ctx.see or ctx.delayed):
-        root_row = array("i", bytes(4 * n * len(ctx.cops_of)))
-        for i, k in enumerate(keys):
-            if k & tmask == vtag:
-                root_row[(k & cmask) * n + (k >> ps)] = i
-
     # States are interned in discovery order and expanded in index order:
     # each wave is the run of indices interned while expanding the last.
     moves = ctx.tab.moves()
+    cmask, ps, vtag = ctx.cmask, ctx.ps, VIS << ctx.cb
     get = index.get
-    # A VIS row depends on the evader's vertex and the action alone, so it
-    # is built and interned once per solve: key ^ c | a (the key with its
-    # cops field replaced by the action id) -> the row's successor rows.
-    vis_rows: dict[int, tuple[int, ...]] = {}
-    vis_get = vis_rows.get
     lo, hi = 0, len(keys)
     while lo < hi:
         wave_sizes.append(hi - lo)
         for i in range(lo, hi):
             key = keys[i]
-            c = key & cmask
-            if key & tmask == vtag:
-                acts = moves[c]
-                base = key ^ c
-                rows = [vis_get(base | a) for a in acts]
-                if None in rows:
-                    missing = [a for a, row in zip(acts, rows) if row is None]
-                    for a, succ_keys, seen in _expand(ctx, key, missing):
-                        row = []
-                        for sk in succ_keys:
-                            j = get(sk)
-                            if j is None:
-                                j = len(keys)
-                                if j >= budget:
-                                    cl.stopped = True
-                                    return cl
-                                index[sk] = j
-                                keys.append(sk)
-                                preds.append(array("i"))
-                            row.append(j)
-                        at = a * n
-                        while seen:
-                            low = seen & -seen
-                            row.append(root_row[at + low.bit_length() - 1])
-                            seen ^= low
-                        vis_rows[base | a] = tuple(row)
-                    rows = [vis_rows[base | a] for a in acts]
-                if () in rows:
-                    action.append(acts[rows.index(())])
-                    seeds.append(i)
-                    continue
-                action.append(-1)
-                for a, row in zip(acts, rows):
-                    slot = len(remaining)
-                    remaining.append(len(row))
-                    slot_state.append(i)
-                    slot_action.append(a)
-                    for j in row:
-                        preds[j].append(slot)
-                continue
-            rows = _expand(ctx, key, moves[c])
+            rows = _expand(ctx, key, moves[key & cmask])
             win = -1
             for a, succ_keys, seen in rows:
                 if not (succ_keys or seen):
@@ -581,10 +512,11 @@ def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
                             preds.append(array("i"))
                         preds[j].append(slot)
                     if seen:
-                        at = a * n
+                        # each sighted successor is a root, interned already
+                        base = a | vtag
                         while seen:
                             low = seen & -seen
-                            preds[root_row[at + low.bit_length() - 1]].append(slot)
+                            preds[index[base | (low.bit_length() - 1) << ps]].append(slot)
                             seen ^= low
                 continue
             # won at wave 1 whatever its other actions do.  Its successors
@@ -602,8 +534,6 @@ def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
                         index[sk] = j
                         keys.append(sk)
                         preds.append(array("i"))
-        # every VIS state is a root, so the first wave expanded them all
-        vis_rows.clear()
         lo, hi = hi, len(keys)
     return cl
 
@@ -1254,49 +1184,38 @@ class WitnessResult:
 
 def search_witness(
     predicate: Callable[[Profile], bool],
-    candidates: Iterator[Graph] | Callable[[int], Graph],
+    draw: Callable[[int], Graph],
     *,
     limit: int,
-    profiler: Callable[[Graph], Profile | None] | None = None,
-    radii: Iterable[int] = (1,),
-    budget: int = DEFAULT_BUDGET,
+    profiler: Callable[[Graph], Profile | None],
     workers: int = 1,
 ) -> WitnessResult:
-    """First candidate whose profile satisfies the predicate.
+    """First of the candidates draw(0), ..., draw(limit - 1) whose profile
+    satisfies the predicate.
 
-    candidates is an iterator of graphs, or an indexed stream: a function
-    from a stream index to that index's candidate, called for the indices
-    0, ..., limit - 1.  The profiler may return None to discard a candidate
-    cheaply, and a candidate whose profile blows the solve budget is skipped
-    rather than guessed at.  Every drawn candidate counts against the limit.
+    The profiler may return None to discard a candidate cheaply, and a
+    candidate whose profile blows the solve budget is skipped rather than
+    guessed at.  Every drawn candidate counts against the limit.
 
-    An indexed stream with workers > 1 is screened in several processes
-    (see _worker_processes and _search_forked), and the result is the
-    serial one, provided a draw depends on its index alone and a screen on
-    its graph alone.
+    With workers > 1 the stream is screened in several processes (see
+    _worker_processes and _search_forked), and the result is the serial
+    one, provided a draw depends on its index alone and a screen on its
+    graph alone.
     """
-    if profiler is None:
-        profiler = lambda h: profile(h, radii, budget=budget)
-    if callable(candidates):
-        procs = _worker_processes(workers, limit)
-        if procs > 1:
-            return _search_forked(predicate, candidates, limit, profiler, procs)
-        candidates = map(candidates, range(limit))
-    tried = skipped = 0
-    for g in candidates:
-        if tried >= limit:
-            break
-        tried += 1
+    procs = _worker_processes(workers, limit)
+    if procs > 1:
+        return _search_forked(predicate, draw, limit, profiler, procs)
+    skipped = 0
+    for i in range(limit):
+        g = draw(i)
         try:
             prof = profiler(g)
         except BudgetExceeded:
             skipped += 1
             continue
-        if prof is None:
-            continue
-        if predicate(prof):
-            return WitnessResult(g, prof, tried, skipped)
-    return WitnessResult(None, None, tried, skipped)
+        if prof is not None and predicate(prof):
+            return WitnessResult(g, prof, i + 1, skipped)
+    return WitnessResult(None, None, limit, skipped)
 
 
 def _worker_processes(workers: int, limit: int) -> int:
