@@ -27,33 +27,35 @@ Layout of a solve:
      (_close_waves) a wave's successors come from engine._wave_keys, per
      action over the whole wave's masks, with no kernel row per state,
      and its new states are interned by action id, then by packed key.
-     The monotone game (_close) is expanded state by state with the kernel
-     (one round per legal cop action), interning in discovery order;
-  3. answer.  The monotone game is answered by the retrograde propagation
-     (_retrograde).  Its closure also gives each (state, action) pair with
-     a nonempty successor set one slot in flat arrays: its unmet successor
-     count, its state and its action id, plus per-state arrays of the
-     slots that wait on that state.  A kernel row names its sighted (VIS)
-     successors by a vertex mask; each of them is a root, interned in
-     step 1.  Wins propagate wave-synchronously over the slots: a state's
-     wave is the number of cop moves needed against the worst adversary,
-     and the recorded action is the first to complete, under a fixed
-     enumeration order.  The cops win iff some placement has every root
-     branch won.  Every other game's won states are closed downward, and
-     its closure keeps no slots: once it completes, the walk search
-     answers an open-loop game and decide any other, from the closure's
-     context, with the winner, depth and placement the propagation gives.
+     The monotone game (_retrograde) is expanded state by state with the
+     kernel (one round per legal cop action), interning in discovery order;
+  3. answer.  The monotone game is answered by the retrograde propagation,
+     in the same function as its closure.  That closure also gives each
+     (state, action) pair with a nonempty successor set one slot in flat
+     arrays: its unmet successor count, its state and its action id, plus
+     per-state arrays of the slots that wait on that state.  A kernel row
+     names its sighted (VIS) successors by a vertex mask; each of them is
+     a root, interned in step 1.  Wins propagate wave-synchronously over
+     the slots: a state's wave is the number of cop moves needed against
+     the worst adversary, and the recorded action is the first to
+     complete, under a fixed enumeration order.  The cops win iff some
+     placement has every root branch won.  Every other game's won states
+     are closed downward, and its closure keeps no slots: once it
+     completes, the walk search answers an open-loop game and decide any
+     other, from the closure's context, with the winner, depth and
+     placement the propagation gives.
 
 The store is compact: a state is the kernel's packed int (see engine._Ctx)
 mapped to its row in one dict, and every per-slot and per-row table is an
-int32 array, as is each state's list of waiting slots.
+int32 array, as is each state's list of waiting slots.  The slot tables
+are local to _retrograde, which builds them and propagates over them.
 
 The state budget is a hard cap on interned states.  Hitting it aborts with
 winner INCONCLUSIVE and states equal to the cap, never a guessed answer.
 The cut comes in the closure, in the wave whose new states bring the count
 past the budget, before any answer is sought, so budgeted runs are
-reproducible too, and _close and _close_waves stop at the same count with
-the same wave sizes.
+reproducible too, and _retrograde and _close_waves stop at the same count
+with the same wave sizes.  A budget below 1 is refused.
 
 Deciding without states (decide).  In every game but the monotone one the
 won states are closed downward in the territory: each successor of a
@@ -307,22 +309,91 @@ def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> So
     """solve by the retrograde propagation over the slots (the module
     docstring, steps 1 to 3), with its waves as the outcome's strategy: the
     solve of the monotone game, whose won states are not closed downward,
-    and the tests' oracle for any other."""
+    and the tests' oracle for any other.  Its closure expands the reachable
+    states state by state with the kernel, interning in discovery order and
+    keeping the slots, or stops at the budget."""
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
-    cl = _close(g, spec, budget)
+    cl, keys = _open(g, spec, budget)
     if cl.stopped:
         return cl.inconclusive(spec, budget)
-    n_states = len(cl.index)
+    ctx, index, wave_sizes = cl.ctx, cl.index, cl.wave_sizes
+    # preds[j] lists the slots, one per (state, action) pair with a nonempty
+    # successor set, that have j among their successors.  Slots are made in
+    # ascending (state, action) order, so each preds array is too.
+    preds = [array("i") for _ in keys]
+    remaining = array("i")  # unmet successors per slot
+    slot_state = array("i")
+    slot_action = array("i")
+    action = array("i")  # per expanded state: a winning action id, or -1
+    seeds: list[int] = []  # states with an action that wins on the spot
+
+    # States are interned in discovery order and expanded in index order:
+    # each wave is the run of indices interned while expanding the last.
+    moves = ctx.tab.moves()
+    cmask, ps, vtag = ctx.cmask, ctx.ps, VIS << ctx.cb
+    get = index.get
+    lo, hi = 0, len(keys)
+    while lo < hi:
+        wave_sizes.append(hi - lo)
+        for i in range(lo, hi):
+            key = keys[i]
+            rows = _expand(ctx, key, moves[key & cmask])
+            win = -1
+            for a, succ_keys, seen in rows:
+                if not (succ_keys or seen):
+                    win = a
+                    break
+            action.append(win)
+            if win < 0:
+                for a, succ_keys, seen in rows:
+                    slot = len(remaining)
+                    remaining.append(len(succ_keys) + seen.bit_count() if seen else len(succ_keys))
+                    slot_state.append(i)
+                    slot_action.append(a)
+                    for sk in succ_keys:
+                        j = get(sk)
+                        if j is None:
+                            j = len(keys)
+                            if j >= budget:
+                                return cl.inconclusive(spec, budget)
+                            index[sk] = j
+                            keys.append(sk)
+                            preds.append(array("i"))
+                        preds[j].append(slot)
+                    if seen:
+                        # each sighted successor is a root, interned already
+                        base = a | vtag
+                        while seen:
+                            low = seen & -seen
+                            preds[index[base | (low.bit_length() - 1) << ps]].append(slot)
+                            seen ^= low
+                continue
+            # won at wave 1 whatever its other actions do.  Its successors
+            # are interned all the same, so the interning order does not
+            # depend on which states win.  The sighted ones are roots,
+            # interned already
+            seeds.append(i)
+            for _, succ_keys, _ in rows:
+                for sk in succ_keys:
+                    if get(sk) is None:
+                        j = len(keys)
+                        if j >= budget:
+                            return cl.inconclusive(spec, budget)
+                        index[sk] = j
+                        keys.append(sk)
+                        preds.append(array("i"))
+        lo, hi = hi, len(keys)
+
+    n_states = len(keys)
+    del keys  # the propagation reads rows only: free the list before its tables
     won = bytearray(n_states)
     wave_of = array("i", bytes(4 * n_states))
-    preds, remaining = cl.preds, cl.remaining
-    slot_state, slot_action, action = cl.slot_state, cl.slot_action, cl.action
-    for i in cl.seeds:
+    for i in seeds:
         won[i] = 1
         wave_of[i] = 1
 
-    current = cl.seeds
+    current = seeds
     wave = 1
     while current:
         wave += 1
@@ -349,10 +420,10 @@ def _retrograde(g: Graph, spec: GameSpec, *, budget: int = DEFAULT_BUDGET) -> So
                 win_placement, depth = p, d
 
     winner = Winner.COPS if win_placement is not None else Winner.ROBBER
-    cl.ctx.forget()  # the outcome's index needs only the codec
+    ctx.forget()  # the outcome's index needs only the codec
     return SolveOutcome(
-        winner, n_states, tuple(cl.wave_sizes), depth, win_placement, g, spec,
-        StateIndex(cl.ctx, cl.index), _Retrograded(cl.index, won, wave_of, action),
+        winner, n_states, tuple(wave_sizes), depth, win_placement, g, spec,
+        StateIndex(ctx, index), _Retrograded(index, won, wave_of, action),
     )
 
 
@@ -378,14 +449,9 @@ class _Retrograded:
 class _Closure:
     """What interning a game's reachable states leaves: the context, the
     packed key -> row index, the wave sizes, the placements' root rows and
-    whether the budget stopped it.  _close also leaves the slots that the
-    retrograde propagation runs over and the states won on the spot;
-    _close_waves leaves them empty."""
+    whether the budget stopped it."""
 
-    __slots__ = (
-        "ctx", "index", "wave_sizes", "stopped",
-        "roots", "preds", "remaining", "slot_state", "slot_action", "action", "seeds",
-    )
+    __slots__ = ("ctx", "index", "wave_sizes", "stopped", "roots")
 
     def __init__(self, ctx: _Ctx) -> None:
         self.ctx = ctx
@@ -393,16 +459,6 @@ class _Closure:
         self.wave_sizes: list[int] = []
         self.stopped = False
         self.roots: list[tuple[tuple[int, ...], tuple[int, ...]]] = []  # placement, root rows
-        # preds[j] lists the slots, one per (state, action) pair with a
-        # nonempty successor set, that have j among their successors.  Slots
-        # are made in ascending (state, action) order, so each preds array
-        # is too.
-        self.preds: list[array] = []
-        self.remaining = array("i")  # unmet successors per slot
-        self.slot_state = array("i")
-        self.slot_action = array("i")
-        self.action = array("i")  # per expanded state: a winning action id, or -1
-        self.seeds: list[int] = []  # states with an action that wins on the spot
 
     def inconclusive(self, spec: GameSpec, budget: int) -> SolveOutcome:
         return SolveOutcome(Winner.INCONCLUSIVE, budget, tuple(self.wave_sizes), None, None, self.ctx.g, spec)
@@ -411,6 +467,8 @@ class _Closure:
 def _open(g: Graph, spec: GameSpec, budget: int) -> tuple[_Closure, list[int]]:
     """Intern the roots of the resolved game (the module docstring's step
     1), or stop at the budget: the closure so far and its keys by row."""
+    if budget < 1:
+        raise ValueError(f"a state budget must be at least 1, got {budget}")
     # the table's ids are given out as the roots reach them, so a budget
     # stop among the roots lists no more placements than it met
     ctx = _Ctx(g, spec, _tuples(g, spec.cops))
@@ -441,7 +499,7 @@ def _close_waves(g: Graph, spec: GameSpec, budget: int) -> _Closure:
     Each key carries its action, so no two actions share a new state: the
     new states are counted action by action, and the stop comes at the
     first action whose new states bring the count past the budget.  The
-    state count, the wave sizes and the budget stops are _close's."""
+    state count, the wave sizes and the budget stops are _retrograde's."""
     cl, keys = _open(g, spec, budget)
     if cl.stopped:
         return cl
@@ -460,80 +518,6 @@ def _close_waves(g: Graph, spec: GameSpec, budget: int) -> _Closure:
                 new.sort()
                 index.update(zip(new, range(j, j + len(new))))
                 keys += new
-        lo, hi = hi, len(keys)
-    return cl
-
-
-def _close(g: Graph, spec: GameSpec, budget: int) -> _Closure:
-    """Intern the roots of the resolved game and expand the reachable states
-    to closure, state by state with the kernel, keeping the slots, or stop
-    at the budget (the module docstring's steps 1 to 3)."""
-    cl, keys = _open(g, spec, budget)
-    if cl.stopped:
-        return cl
-    ctx = cl.ctx
-    index, wave_sizes = cl.index, cl.wave_sizes
-    preds, remaining, slot_state, slot_action = cl.preds, cl.remaining, cl.slot_state, cl.slot_action
-    action, seeds = cl.action, cl.seeds
-    preds.extend(array("i") for _ in keys)
-
-    # States are interned in discovery order and expanded in index order:
-    # each wave is the run of indices interned while expanding the last.
-    moves = ctx.tab.moves()
-    cmask, ps, vtag = ctx.cmask, ctx.ps, VIS << ctx.cb
-    get = index.get
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        wave_sizes.append(hi - lo)
-        for i in range(lo, hi):
-            key = keys[i]
-            rows = _expand(ctx, key, moves[key & cmask])
-            win = -1
-            for a, succ_keys, seen in rows:
-                if not (succ_keys or seen):
-                    win = a
-                    break
-            action.append(win)
-            if win < 0:
-                for a, succ_keys, seen in rows:
-                    slot = len(remaining)
-                    remaining.append(len(succ_keys) + seen.bit_count() if seen else len(succ_keys))
-                    slot_state.append(i)
-                    slot_action.append(a)
-                    for sk in succ_keys:
-                        j = get(sk)
-                        if j is None:
-                            j = len(keys)
-                            if j >= budget:
-                                cl.stopped = True
-                                return cl
-                            index[sk] = j
-                            keys.append(sk)
-                            preds.append(array("i"))
-                        preds[j].append(slot)
-                    if seen:
-                        # each sighted successor is a root, interned already
-                        base = a | vtag
-                        while seen:
-                            low = seen & -seen
-                            preds[index[base | (low.bit_length() - 1) << ps]].append(slot)
-                            seen ^= low
-                continue
-            # won at wave 1 whatever its other actions do.  Its successors
-            # are interned all the same, so the interning order does not
-            # depend on which states win.  The sighted ones are roots,
-            # interned already
-            seeds.append(i)
-            for _, succ_keys, _ in rows:
-                for sk in succ_keys:
-                    if get(sk) is None:
-                        j = len(keys)
-                        if j >= budget:
-                            cl.stopped = True
-                            return cl
-                        index[sk] = j
-                        keys.append(sk)
-                        preds.append(array("i"))
         lo, hi = hi, len(keys)
     return cl
 

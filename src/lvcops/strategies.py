@@ -33,7 +33,7 @@ from .engine import (
 )
 from .families import FamilyKind, GeneratedGraph
 from .graphs import Graph, bits, chordal_peo, metrics
-from .solver import SolveOutcome, SolvedCops, Winner, _least_winning
+from .solver import SolveOutcome, SolvedCops, _least_winning
 from .treerank import rank
 
 
@@ -529,9 +529,7 @@ class _ChordalPursuit:
         return (best,)
 
 
-def chordal_pursuit(
-    g: Graph, ell: int, start: int, first_sight: int, peo=None
-) -> CopPolicy:
+def chordal_pursuit(g: Graph, ell: int, start: int, first_sight: int) -> CopPolicy:
     """Single-cop capture policy for a chordal graph after a first sighting.
 
     Each round the cop steps to a neighbor one unit closer to the evader's
@@ -539,10 +537,9 @@ def chordal_pursuit(
     the simplicial ordering.  The distance never grows, the evader stays
     visible, and on a chordal graph the pursuit corners it.
     """
+    peo = chordal_peo(g)
     if peo is None:
-        peo = chordal_peo(g)
-        if peo is None:
-            raise ValueError("graph is not chordal")
+        raise ValueError("graph is not chordal")
     return _ChordalPursuit(g, ell, start, first_sight, tuple(peo.order))
 
 
@@ -638,14 +635,7 @@ class _ShadowCapture:
         self._squad = rest[: self._squad_size]
 
 
-def shadow_capture(
-    g: Graph,
-    ell: int,
-    *,
-    see_outcome: SolveOutcome | None = None,
-    classical_outcome: SolveOutcome | None = None,
-    budget: int = 2_000_000,
-) -> CopPolicy:
+def shadow_capture(g: Graph, ell: int) -> CopPolicy:
     """Capture policy using max(seeing number, classical number + 1) cops.
 
     Valid for visibility radius at least 2: the tracker ends each of its
@@ -655,11 +645,7 @@ def shadow_capture(
     """
     if ell < 2:
         raise ValueError("the tracking argument needs visibility radius >= 2")
-    if see_outcome is None:
-        see_outcome = _least_winning(g, ell, Variant.SEE, budget=budget)[1]
-    if classical_outcome is None:
-        classical_outcome = _least_winning(g, 0, Variant.CLASSICAL, budget=budget)[1]
-    if see_outcome.winner is not Winner.COPS or classical_outcome.winner is not Winner.COPS:
-        raise ValueError("both component policies must be cop wins")
+    see_outcome = _least_winning(g, ell, Variant.SEE, budget=2_000_000)[1]
+    classical_outcome = _least_winning(g, 0, Variant.CLASSICAL, budget=2_000_000)[1]
     return _ShadowCapture(g, ell, see_outcome, classical_outcome)
 

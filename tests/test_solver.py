@@ -732,7 +732,7 @@ def test_sighted_games_match_information_set_search():
 
 
 def test_monotone_games_match_weak_monotone_search():
-    # the monotone solve (the retrograde run over _close) gives the winner
+    # the monotone solve (the retrograde run) gives the winner
     # and depth of the weakly monotone rule restated over information sets,
     # which reads no kernel row; NON_MONOTONE's gap is at radius 0
     cases = [(g, ell, k) for g in _oracle_graphs() for ell in (1, 2) for k in (1, 2)]
@@ -1405,20 +1405,20 @@ def test_solve_gives_the_retrograde_answer():
 
 def _counting_closures(monkeypatch) -> list[str]:
     """Record each closure solver runs: "waves" for solve's wave loop,
-    "close" for the expansion that keeps the slots."""
+    "retrograde" for the retrograde solve, whose expansion keeps the slots."""
     from lvcops import solver
 
     closures = []
 
     def counting(name, real):
-        def closing(g, spec, budget):
+        def closing(*args, **kwargs):
             closures.append(name)
-            return real(g, spec, budget)
+            return real(*args, **kwargs)
 
         return closing
 
     monkeypatch.setattr(solver, "_close_waves", counting("waves", solver._close_waves))
-    monkeypatch.setattr(solver, "_close", counting("close", solver._close))
+    monkeypatch.setattr(solver, "_retrograde", counting("retrograde", solver._retrograde))
     return closures
 
 
@@ -1509,6 +1509,55 @@ def test_budget_stop_never_answers(monkeypatch):
     assert solve(g, spec, budget=_retrograded(g, spec).states).winner is not Winner.INCONCLUSIVE
 
 
+def test_budget_below_one_is_refused():
+    # a state count is never negative, so no closure takes a budget below 1
+    g = cycle(5)
+    for budget in (0, -3):
+        for spec in (GameSpec(1, 1, Variant.MONOTONE_CAPTURE), GameSpec(1, 1)):
+            with pytest.raises(ValueError, match="at least 1"):
+                solve(g, spec, budget=budget)
+        with pytest.raises(ValueError, match="at least 1"):
+            _retrograde(g, GameSpec(1, 1), budget=budget)
+
+
+def _monotone_budget_games():
+    """(graph, resolved spec) of the monotone games on the oracle graphs at
+    radii 1 and 2 with 1 and 2 cops, and of the gaps at NON_MONOTONE (radius
+    0, 2 cops) and SPIDER_3_3 (radius 1, 1 cop)."""
+    for g in _oracle_graphs():
+        for ell in (1, 2):
+            for k in (1, 2):
+                yield g, GameSpec(ell, k, Variant.MONOTONE_CAPTURE)
+    yield NON_MONOTONE, GameSpec(0, 2, Variant.MONOTONE_CAPTURE)
+    yield SPIDER_3_3, GameSpec(1, 1, Variant.MONOTONE_CAPTURE)
+
+
+def test_every_budget_stops_the_monotone_solve_in_its_wave():
+    # the monotone closure stops at the first state past the budget, so a
+    # solve is INCONCLUSIVE exactly below the state count, reports the
+    # budget as its states, and keeps the waves before the one that state
+    # is in: none for a stop among the roots.  At or above the state count
+    # it answers as the unbudgeted solve does
+    games = stops = root_stops = 0
+    for g, spec in _monotone_budget_games():
+        full = _solved(g, spec)
+        ends = list(itertools.accumulate(full.wave_sizes))
+        games += 1
+        for budget in range(1, full.states + 2):
+            out = solve(g, spec, budget=budget)
+            m = next((w for w, end in enumerate(ends) if end > budget), len(ends))
+            assert out.wave_sizes == full.wave_sizes[:m], (g.edges, spec, budget)
+            assert (out.winner is Winner.INCONCLUSIVE) == (budget < full.states), (g.edges, spec, budget)
+            if budget < full.states:
+                assert out.states == budget, (g.edges, spec, budget)
+                stops += 1
+                root_stops += m == 0
+            else:
+                got = (out.winner, out.states, out.depth, out.placement)
+                assert got == (full.winner, full.states, full.depth, full.placement), (g.edges, spec)
+    assert games > 180 and root_stops > 5000 and stops - root_stops > 3000
+
+
 def test_monotone_solve_expands_each_state_once(monkeypatch):
     # the monotone game is answered by the retrograde solve itself: one
     # closure, each state expanded once, and its waves are the strategy
@@ -1529,7 +1578,7 @@ def test_monotone_solve_expands_each_state_once(monkeypatch):
         expanded.clear()
         out = solve(g, spec)
         assert out.strategy is out.retrograded is not None
-        assert closures == ["close"]
+        assert closures == ["retrograde"]
         # every interned state is expanded, once
         assert len(expanded) == len(set(expanded)) == out.states
 
