@@ -175,25 +175,30 @@ def _match_step(g: Graph, old, new) -> list[int]:
 
 class _Tuples:
     """The cops tuples of k cops on a graph by id, with what depends on the
-    graph and k alone: occupancy masks occ[c] and the move lists.  cid gives
-    an unseen tuple the next id, at most size = comb(n + k - 1, k) of them,
-    so a context's id field cannot overflow.  The solver's games share one
-    table per (graph, k) (_tuples) that only placements() extends, so its
-    ids are the placements in order and a solve stopped by its budget among
-    the roots lists no more of them than it met.  A turn view fills a table
-    of its own with the tuples a playout meets.
+    graph and k alone: occupancy masks occ[c], the move lists and, per
+    radius, the visibility masks.  cid gives an unseen tuple the next id,
+    at most size = comb(n + k - 1, k) of them, so a context's id field
+    cannot overflow.  The solver's games share one table per (graph, k)
+    (_tuples) that only placements() extends, so its ids are the
+    placements in order and a solve stopped by its budget among the roots
+    lists no more of them than it met.  A shared table of k > 1 cops holds
+    the shared table of k - 1 (low), never the graph, and builds its move
+    lists and masks from that table's.  A turn view fills a table of its
+    own, with no low, with the tuples a playout meets.
     """
 
-    __slots__ = ("k", "size", "adjc", "ids", "cops_of", "occ", "_moves")
+    __slots__ = ("k", "size", "adjc", "low", "ids", "cops_of", "occ", "_moves", "_by_radius")
 
-    def __init__(self, g: Graph, k: int) -> None:
+    def __init__(self, g: Graph, k: int, low: _Tuples | None = None) -> None:
         self.k = k
         self.size = math.comb(g.n + k - 1, k)
         self.adjc = g.adj_closed
+        self.low = low
         self.ids: dict[tuple[int, ...], int] = {}
         self.cops_of: list[tuple[int, ...]] = []
         self.occ: list[VertexSet] = []
         self._moves: tuple[tuple[int, ...], ...] | None = None
+        self._by_radius: dict[int, tuple[list[int], list[VertexSet]]] = {}
 
     def cid(self, cops: tuple[int, ...]) -> int:
         """The id of a sorted cops tuple, assigned on first sight."""
@@ -211,43 +216,92 @@ class _Tuples:
     def placements(self) -> Iterator[tuple[int, ...]]:
         """The tuples in combinations order, each given its id as the walk
         reaches it; a walk to the end completes the table."""
-        if len(self.cops_of) == self.size:
+        if self.complete():
             yield from self.cops_of
             return
         for cops in itertools.combinations_with_replacement(range(len(self.adjc)), self.k):
             self.cid(cops)
             yield cops
 
+    def complete(self) -> bool:
+        """Whether every placement has its id."""
+        return len(self.cops_of) == self.size
+
+    def filled(self) -> _Tuples:
+        """The table, with every placement given its id."""
+        if not self.complete():
+            for _ in self.placements():
+                pass
+        return self
+
+    def _split(self) -> list[tuple[int, int]]:
+        """By id, the id of the tuple's first k - 1 cops in the table below,
+        which this fills, and its last cop."""
+        if self.low is None:
+            raise ValueError("a table of k > 1 cops is built from the table of k - 1")
+        ids = self.low.filled().ids
+        return [(ids[cops[:-1]], cops[-1]) for cops in self.cops_of]
+
     def moves(self) -> tuple[tuple[int, ...], ...]:
         """By id, the action ids one half-move from each tuple of a complete
-        table: every distinct sorted tuple, in the order of its first
+        shared table: every distinct sorted tuple, in the order of its first
         occurrence in the product of the cops' sorted closed neighbourhoods.
-        Built once; the build sorts each raw (unsorted) product tuple once,
-        not once per cops tuple whose product holds it."""
+
+        Built once, from the table below.  Write a tuple as p + (v), p its
+        first k - 1 cops, and let ext[m][u] be the id of the tuple m of the
+        table below with a cop added on u.  The product's block for a raw
+        prefix repeats, sorted, the block of the first prefix with the same
+        sorted tuple, so only the distinct prefixes need extending, and
+        those are the moves of p below, in order: the moves of p + (v) are
+        ext[m][u] for m in those and u in N[v], first occurrences kept."""
         if self._moves is None:
-            if len(self.cops_of) != self.size:
+            if not self.complete():
                 raise ValueError("the move lists need every placement's id")
             step = [list(bits(m)) for m in self.adjc]
-            ids, raw, out = self.ids, {}, []
-            for cops in self.cops_of:
-                acts = []
-                for combo in itertools.product(*[step[v] for v in cops]):
-                    a = raw.get(combo)
-                    if a is None:
-                        a = raw[combo] = ids[tuple(sorted(combo))]
-                    acts.append(a)
-                out.append(tuple(dict.fromkeys(acts)))
-            self._moves = tuple(out)
+            ids = self.ids
+            if self.k == 1:
+                self._moves = tuple(tuple([ids[(u,)] for u in step[v]]) for (v,) in self.cops_of)
+            else:
+                split = self._split()
+                below = self.low.moves()
+                ext = [
+                    [ids[tuple(sorted((*q, u)))] for u in range(len(step))]
+                    for q in self.low.cops_of
+                ]
+                self._moves = tuple(
+                    tuple(dict.fromkeys([ext[m][u] for m in below[p] for u in step[v]]))
+                    for p, v in split
+                )
         return self._moves
+
+    def masks(self, r: int, balls: tuple[VertexSet, ...]) -> tuple[list[int], list[VertexSet]]:
+        """By id, of a complete table, with the balls of radius r (balls, as
+        the graph gives them): nvis, the complement of the union of the
+        balls around the tuple's cops, and sight, that union less the
+        occupancy.  Built once per radius: on a shared table of k > 1 cops,
+        nvis of p + (v) is nvis of p below less the ball of v."""
+        got = self._by_radius.get(r)
+        if got is None:
+            if not self.complete():
+                raise ValueError("the masks need every placement's id")
+            if self.k == 1:
+                nvis = [~balls[v] for (v,) in self.cops_of]
+            else:
+                split = self._split()
+                below = self.low.masks(r, balls)[0]
+                nvis = [below[p] & ~balls[v] for p, v in split]
+            got = self._by_radius[r] = nvis, [~(m | o) for m, o in zip(nvis, self.occ)]
+        return got
 
 
 def _tuples(g: Graph, k: int) -> _Tuples:
-    """The table of k cops on g that the solver's games share.  It is kept
-    on the graph, so it dies with the graph."""
-    tab = g._tuple_tables.get(k)
-    if tab is None:
-        tab = g._tuple_tables[k] = _Tuples(g, k)
-    return tab
+    """The table of k cops on g that the solver's games share, holding the
+    one of k - 1 cops.  It is kept on the graph, so it dies with the graph;
+    it does not hold the graph, so the two make no reference cycle."""
+    tabs = g._tuple_tables  # the tables of 1 to len(tabs) cops
+    for j in range(len(tabs) + 1, k + 1):
+        tabs[j] = _Tuples(g, j, tabs.get(j - 1))
+    return tabs[k]
 
 
 class _Ctx:
@@ -265,13 +319,16 @@ class _Ctx:
     mask vis (the union of its balls), the context computes once the
     out-of-sight vertices nvis[a] = ~vis and sight[a], where a sighted
     evader stays in play: vis & ~occ[a], or nothing under a seeing goal,
-    where a sighting ends the game; occ and the move lists are the table's.  grown
-    memoizes grow() of each unseen territory, and of the time-delayed
-    decider's lost sets (solver._decide_points).  seen memoizes, per (sighted
-    set, action), the part of an INV row that the territory vertices in
-    sight after the cop move give: the keys of their escapes out of sight
-    and the union of their steps.  It starts afresh at _SEEN_MEMO_CAP
-    entries.
+    where a sighting ends the game; occ and the move lists are the table's.
+    On a table complete when the context is made, nvis and sight (but for
+    a seeing goal) are the table's lists of the radius (_Tuples.masks); on
+    a partial one (_open's before its roots are all met, a turn view's)
+    each new id takes its ball union as it comes.  grown memoizes grow() of
+    each unseen territory, and of the time-delayed decider's lost sets
+    (solver._decide_points).  seen memoizes, per (sighted set, action), the
+    part of an INV row that the territory vertices in sight after the cop
+    move give: the keys of their escapes out of sight and the union of
+    their steps.  It starts afresh at _SEEN_MEMO_CAP entries.
     """
 
     __slots__ = (
@@ -289,9 +346,7 @@ class _Ctx:
         self.seen: dict[int, tuple[tuple[int, ...], VertexSet]] = {}
         self._balls = g.balls(spec.ell)
         if tab is None:  # the shared table, complete
-            tab = _tuples(g, spec.cops)
-            for _ in tab.placements():
-                pass
+            tab = _tuples(g, spec.cops).filled()
         self.tab = tab
         self.cb = (tab.size - 1).bit_length()
         self.ss = self.cb + 2
@@ -299,9 +354,14 @@ class _Ctx:
         self.cmask = (1 << self.cb) - 1
         self.smask = (1 << (g.n + 1)) - 1
         self.cops_of, self.occ = tab.cops_of, tab.occ
-        self.nvis: list[int] = []
-        self.sight: list[VertexSet] = []
-        self._masks()
+        if tab.complete() and not self.delayed:
+            # the table's lists, shared: a complete table gives out no more ids
+            self.nvis, sight = tab.masks(spec.ell, self._balls)
+            self.sight = [0] * tab.size if self.see else sight
+        else:
+            self.nvis: list[int] = []
+            self.sight: list[VertexSet] = []
+            self._masks()
 
     def _masks(self) -> None:
         """nvis and sight of every tuple of the table that lacks them.  The

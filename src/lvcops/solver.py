@@ -285,9 +285,9 @@ def solve(
 ) -> SolveOutcome:
     """Decide the game at spec.cops cops; see the module docstring.
 
-    More cops than vertices is refused: n cops always win, and the cop
-    moves are enumerated as a product over the cops, so a large count
-    stalls before the first state is interned.
+    More cops than vertices is refused: n cops always win, so no larger
+    count is needed, and each cop more multiplies the comb(n + k - 1, k)
+    cops tuples that a solve gives move lists.
     """
     _check_cop_count(g, spec)
     spec = spec.resolve(g)
@@ -724,7 +724,9 @@ def _decide(
             pre = moves[a]
             if sighted:
                 for c in pre:
-                    if fx.see(c, ok, depth, a):
+                    # most tuples hold what a offers already: test before the call
+                    if ok & sight[c] & ~V[c]:
+                        fx.see(c, ok, depth, a)
                         changed.add(c)
             for t in news:
                 for c in pre:
@@ -864,12 +866,24 @@ def _clearing_walk(
     frontier = [c | t << ps for c, t in enumerate(nb)]
     parent = dict.fromkeys(frontier, -1)
     grown, grow = ctx.grown, g.grow
+    # meet[c]: the vertices out of sight of every action from c, built on
+    # first need; a territory that meets it has no winning action
+    meet: dict[int, int] = {}
     depth = 0
     while frontier:
         depth += 1
         for key in frontier:
             t = key >> ps
-            for a in moves[key & cmask]:
+            c = key & cmask
+            m = meet.get(c)
+            if m is None:
+                m = g.full
+                for a in moves[c]:
+                    m &= nb[a]
+                meet[c] = m
+            if t & m:
+                continue
+            for a in moves[c]:
                 if not t & nb[a]:
                     path = [key]
                     while parent[path[-1]] >= 0:

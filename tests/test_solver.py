@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import itertools
 import math
@@ -22,10 +23,12 @@ from lvcops.engine import (
     Outcome,
     Script,
     Variant,
+    _ball_union,
     _Ctx,
     _expand,
     _initial_keys,
     _tuples,
+    _view_ctx,
     _vis_keys,
     _wave_keys,
     initial_branches,
@@ -45,6 +48,7 @@ from lvcops.solver import (
     _Antichains,
     _clearing_walk,
     _decide,
+    _open,
     _open_loop,
     _retrograde,
     _states_bound,
@@ -1283,6 +1287,15 @@ def test_retrograde_profile_matches_the_decided_one():
         assert profile(g, radii, retrograde=True) == profile(g, radii), (g.edges, radii)
 
 
+def _product_order(step, cops):
+    """The sorted tuples one half-move from cops, each at its first
+    occurrence in the product of the cops' sorted closed neighbourhoods."""
+    want = {}
+    for combo in itertools.product(*(step[v] for v in cops)):
+        want.setdefault(tuple(sorted(combo)), None)
+    return list(want)
+
+
 def test_move_order_is_first_occurrence_in_the_product():
     # the order of ctx.moves fixes the interning order, so it is pinned to
     # the first occurrence of each sorted tuple in the product of the cops'
@@ -1290,8 +1303,7 @@ def test_move_order_is_first_occurrence_in_the_product():
     # are its tuple's occupancy, the complement of the union of its balls,
     # and that union less the occupancy.  One table serves every tuple of
     # a (graph, k): its tuples are the placements, in combinations order,
-    # and later tuples reuse the ids its earlier ones gave to raw product
-    # tuples
+    # and its move lists are built from those of the table of k - 1 cops
     rng = random.Random(23)
     graphs = [random_connected(rng.randrange(2, 9), rng.randrange(0, 6), rng) for _ in range(30)]
     # a wheel: hub 0, of degree 7, joined to every vertex of the cycle 1..7
@@ -1306,11 +1318,8 @@ def test_move_order_is_first_occurrence_in_the_product():
             assert ctx.tab is _tuples(g, k)
             assert ctx.cops_of == list(itertools.combinations_with_replacement(range(g.n), k))
             for cops in itertools.combinations_with_replacement(range(g.n), k):
-                want = {}
-                for combo in itertools.product(*(step[v] for v in cops)):
-                    want.setdefault(tuple(sorted(combo)), None)
                 acts = ctx.tab.moves()[ctx.cid(cops)]
-                assert [ctx.cops_of[a] for a in acts] == list(want), (g.edges, cops)
+                assert [ctx.cops_of[a] for a in acts] == _product_order(step, cops), (g.edges, cops)
                 for a in acts:
                     a_cops = ctx.cops_of[a]
                     assert ctx.cid(a_cops) == a
@@ -1320,6 +1329,84 @@ def test_move_order_is_first_occurrence_in_the_product():
                     assert ctx.sight[a] == sighted & ~ctx.occ[a]
                 checked += 1
     assert checked > 1000
+
+    # five cops on the graphs of at most 6 vertices, and a fresh graph
+    # whose table of 3 cops is built before the tables below it
+    fresh = random_connected(7, 4, random.Random(5))
+    assert not fresh._tuple_tables
+    tables = [(g, 5) for g in graphs if g.n <= 6] + [(fresh, 3), (fresh, 2), (fresh, 1)]
+    assert len(tables) > 15
+    for g, k in tables:
+        step = [sorted(_near(g, 1)[v]) for v in range(g.n)]
+        tab = _tuples(g, k)
+        moves = tab.filled().moves()
+        assert tab.cops_of == list(itertools.combinations_with_replacement(range(g.n), k))
+        for c, cops in enumerate(tab.cops_of):
+            assert [tab.cops_of[a] for a in moves[c]] == _product_order(step, cops), (g.edges, cops)
+
+
+def test_context_masks_are_the_ball_unions_of_their_tuples():
+    # a context on a complete table reads its masks off the table's lists
+    # of the radius, each built from the lists of the table below; one on
+    # a partial table takes a ball union per id as it comes.  Either way, per
+    # tuple, nvis is the complement of the union of its cops' balls and
+    # sight is that union less the occupancy: nothing under a seeing goal,
+    # and in the time-delayed game, which observes nothing live, every
+    # vertex is out of sight
+    def check(g, ctx, spec):
+        assert len(ctx.nvis) == len(ctx.sight) == len(ctx.cops_of) > 0
+        balls = g.balls(spec.ell)
+        for c, cops in enumerate(ctx.cops_of):
+            vis = 0 if spec.delayed else _ball_union(balls, cops)
+            occ = sum(1 << v for v in set(cops))
+            assert ctx.nvis[c] == ~vis, (g.edges, spec, cops)
+            assert ctx.sight[c] == (0 if spec.see_goal or spec.delayed else vis & ~occ), (g.edges, spec, cops)
+
+    variants = (Variant.CAPTURE, Variant.SEE, Variant.MONOTONE_CAPTURE, Variant.TIME_DELAYED)
+    for g in _oracle_graphs():
+        diameter = max(map(max, g.dist))
+        for k in (1, 2, 3, 4):
+            for ell in range(diameter + 2):
+                for variant in variants:
+                    spec = GameSpec(ell, k, variant)
+                    check(g, _Ctx(g, spec), spec)
+
+    # partial tables: _open's, stopped among its roots, and a turn view's
+    for variant in variants:
+        g = random_connected(7, 3, random.Random(11))  # a fresh graph: no table yet
+        spec = GameSpec(1, 3, variant)
+        cl, _ = _open(g, spec, 10)
+        assert cl.stopped and 0 < len(cl.ctx.cops_of) < cl.ctx.tab.size
+        check(g, cl.ctx, spec)
+        for p in ((0, 1, 2), (3, 3, 6), (1, 4, 5)):
+            initial_branches(g, spec, p)
+        view = _view_ctx(g, spec)
+        assert len(view.cops_of) == 3 < view.tab.size
+        check(g, view, spec)
+
+
+def test_profiled_graphs_die_without_the_cycle_collector():
+    # a cops table holds the table below it, never its graph, so a graph
+    # and its tables make no reference cycle: with the collector off, a
+    # dropped graph is freed at once, tables, contexts and all
+    def graphs_alive():
+        return sum(type(o) is Graph for o in gc.get_objects())
+
+    gc.collect()
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        before = graphs_alive()
+        graphs = [random_connected_graph(5 + i % 4, i % 5, 300 + i) for i in range(20)]
+        for g in graphs:
+            profile(g, (1, 2))
+        assert all(g._tuple_tables for g in graphs)
+        assert graphs_alive() == before + 20
+        del graphs, g
+        assert graphs_alive() == before
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def test_profile_builds_one_cops_table_per_cop_count(monkeypatch):
